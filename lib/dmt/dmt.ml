@@ -111,17 +111,31 @@ let get_turn t =
   if not (is_head t th) then park t th
 
 (* Advance the logical clock by one and fire due deterministic timeouts
-   (soft barriers). *)
+   (soft barriers).  The hooks are sorted by the tick they fire at, so a
+   tick with nothing due reads only the head of the list. *)
 let tick t =
   t.clock <- t.clock + 1;
   match t.tick_hooks with
-  | [] -> ()
-  | hooks ->
-    let due, later = List.partition (fun (d, _) -> d <= t.clock) hooks in
+  | (d, _) :: _ when d <= t.clock ->
+    let rec split due = function
+      | (d, f) :: later when d <= t.clock -> split (f :: due) later
+      | later -> (List.rev due, later)
+    in
+    let due, later = split [] t.tick_hooks in
     t.tick_hooks <- later;
-    List.iter (fun (_, f) -> f ()) due
+    List.iter (fun f -> f ()) due
+  | _ -> ()
 
-let at_tick t deadline f = t.tick_hooks <- t.tick_hooks @ [ (deadline, f) ]
+(* A deadline already reached fires at the next tick, never the current
+   one, so the key is the tick the hook fires at.  Inserting behind equal
+   keys keeps hooks that fire together in registration order. *)
+let at_tick t deadline f =
+  let d = max deadline (t.clock + 1) in
+  let rec insert = function
+    | (d', _) as h :: rest when d' <= d -> h :: insert rest
+    | rest -> (d, f) :: rest
+  in
+  t.tick_hooks <- insert t.tick_hooks
 
 (* Bulk clock advance: used when the idle thread is alone in the run
    queue and drains a whole time bubble at once — equivalent to that many

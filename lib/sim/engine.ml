@@ -18,6 +18,14 @@ type t = {
   (* Installed by the model checker to drive the fabric's controlled
      mode; [None] (the default) keeps every consumer on its RNG path. *)
   mutable sched : Sched.t option;
+  (* The current [run]'s horizon and remaining event budget.  A sleep
+     elides its events only inside both; outside any run, [until] is
+     negative and the budget empty, so every sleep takes the queued
+     path. *)
+  mutable until : Time.t;
+  mutable budget : int;
+  mutable dispatched : int;
+  mutable elided : int;
 }
 
 type 'a waker = 'a -> bool
@@ -37,6 +45,10 @@ let create () =
     failed = [];
     trace = Trace.null;
     sched = None;
+    until = -1;
+    budget = 0;
+    dispatched = 0;
+    elided = 0;
   }
 
 let now t = t.clock
@@ -96,7 +108,42 @@ let timer t ?group delay fn =
   schedule t ?group (t.clock + delay) (fun () -> if not !cancelled then fn ());
   fun () -> cancelled := true
 
-type _ Effect.t += Suspend : (('a -> bool) -> unit) -> 'a Effect.t
+type _ Effect.t +=
+  | Suspend : (('a -> bool) -> unit) -> 'a Effect.t
+  | Sleep : Time.t -> unit Effect.t
+
+(* The "sim/blocked" span around a suspension. *)
+let blocked ~ends t th =
+  if Trace.enabled t.trace then
+    (if ends then Trace.span_end else Trace.span_begin)
+      t.trace ~ts:t.clock ~tid:th.tid ~group:(gid th.tgroup) ~cat:"sim"
+      ~name:"blocked" []
+
+(* Continue a suspended thread on the current stack. *)
+let resume t th k v =
+  blocked ~ends:true t th;
+  let saved = t.current in
+  t.current <- Some th;
+  Effect.Deep.continue k v;
+  t.current <- saved
+
+(* The queued wake-up: one event at the current instant, behind every
+   event already queued there. *)
+let schedule_resume t th k v =
+  schedule t t.clock (fun () -> if alive t th.tgroup then resume t th k v)
+
+(* Sleep elision.  When nothing is queued at or before [time], [time] is
+   within the current run's horizon and its budget covers [n] more
+   events, those [n] events would be the next ones the run dispatches:
+   running their effect inline instead reorders nothing.  Each elided
+   event still spends one unit of the budget, so [Limit_exceeded] trips
+   after the same logical event as without elision. *)
+let can_elide t time n =
+  Pheap.min_time t.events > time && time <= t.until && t.budget >= n
+
+let elide t n =
+  t.budget <- t.budget - n;
+  t.elided <- t.elided + n
 
 let handler t th =
   let open Effect.Deep in
@@ -109,28 +156,30 @@ let handler t th =
         | Suspend f ->
           Some
             (fun (k : (a, unit) continuation) ->
-              if Trace.enabled t.trace then
-                Trace.span_begin t.trace ~ts:t.clock ~tid:th.tid
-                  ~group:(gid th.tgroup) ~cat:"sim" ~name:"blocked" [];
+              blocked ~ends:false t th;
               let fired = ref false in
               let waker v =
                 if !fired || not (alive t th.tgroup) then false
                 else begin
                   fired := true;
-                  schedule t t.clock (fun () ->
-                      if alive t th.tgroup then begin
-                        if Trace.enabled t.trace then
-                          Trace.span_end t.trace ~ts:t.clock ~tid:th.tid
-                            ~group:(gid th.tgroup) ~cat:"sim" ~name:"blocked" [];
-                        let saved = t.current in
-                        t.current <- Some th;
-                        continue k v;
-                        t.current <- saved
-                      end);
+                  schedule_resume t th k v;
                   true
                 end
               in
               f waker)
+        | Sleep wake ->
+          Some
+            (fun (k : (a, unit) continuation) ->
+              blocked ~ends:false t th;
+              (* The timer; its resume runs inline when nothing else is
+                 due at the wake instant. *)
+              schedule t wake (fun () ->
+                  if alive t th.tgroup then
+                    if can_elide t t.clock 1 then begin
+                      elide t 1;
+                      resume t th k ()
+                    end
+                    else schedule_resume t th k ()))
         | _ -> None);
   }
 
@@ -163,7 +212,15 @@ let spawn t ?group ~name body = ignore (spawn_with_tid t ?group ~name body)
 let suspend (_ : t) f = Effect.perform (Suspend f)
 
 let sleep t d =
-  suspend t (fun wake -> schedule t (t.clock + d) (fun () -> ignore (wake ())))
+  let wake = t.clock + max d 0 in
+  match t.current with
+  | Some th when can_elide t wake 2 && alive t th.tgroup ->
+    (* Nothing can interleave: skip both the timer and the resume. *)
+    blocked ~ends:false t th;
+    t.clock <- wake;
+    elide t 2;
+    blocked ~ends:true t th
+  | _ -> Effect.perform (Sleep wake)
 
 let yield t = sleep t 0
 
@@ -172,25 +229,30 @@ let self_tid t = match t.current with Some th -> th.tid | None -> -1
 let self_group t = match t.current with Some th -> th.tgroup | None -> None
 
 let run ?until ?(limit = 200_000_000) t =
-  let steps = ref 0 in
-  let continue_ = ref true in
-  while !continue_ do
-    match Pheap.peek_time t.events with
-    | None -> continue_ := false
-    | Some time -> (
-      match until with
-      | Some stop when time > stop ->
-        t.clock <- stop;
-        continue_ := false
-      | _ -> (
-        incr steps;
-        if !steps > limit then raise Limit_exceeded;
-        match Pheap.pop t.events with
-        | None -> continue_ := false
-        | Some (time, _, fn) ->
-          t.clock <- time;
-          fn ()))
-  done
+  let stop = Option.value until ~default:max_int in
+  let outer_until = t.until and outer_budget = t.budget in
+  t.until <- stop;
+  t.budget <- limit;
+  let rec loop () =
+    if not (Pheap.is_empty t.events) then begin
+      let time = Pheap.min_time t.events in
+      if time > stop then t.clock <- stop
+      else begin
+        if t.budget <= 0 then raise Limit_exceeded;
+        t.budget <- t.budget - 1;
+        t.dispatched <- t.dispatched + 1;
+        let fn = Pheap.pop_value t.events in
+        t.clock <- time;
+        fn ();
+        loop ()
+      end
+    end
+  in
+  Fun.protect loop ~finally:(fun () ->
+      t.until <- outer_until;
+      t.budget <- outer_budget)
 
 let failures t = t.failed
 let pending_events t = Pheap.length t.events
+let dispatched t = t.dispatched
+let elided t = t.elided

@@ -95,10 +95,18 @@ val suspend : t -> ('a waker -> unit) -> 'a
     fired.  Must be called from a simulated thread. *)
 
 val sleep : t -> Time.t -> unit
-(** Block for a virtual duration. *)
+(** Block for a virtual duration.  A sleep is two logical events: a timer
+    at the wake instant, then the thread's resume.  Neither is queued when
+    nothing could interleave with it: with no queued event due at or
+    before the wake instant, the wake within the current {!run}'s
+    [until], the run's budget covering both events and the caller's group
+    alive, the clock advances in place and the thread keeps running; a
+    timer that fires with nothing else due at its instant resumes the
+    thread inline.  Run order, the clock, the "sim/blocked" spans and the
+    [limit] accounting are the same either way (see {!elided}). *)
 
 val yield : t -> unit
-(** Reschedule behind already-queued same-instant events. *)
+(** Reschedule behind already-queued same-instant events ([sleep t 0]). *)
 
 val self_name : t -> string
 (** Name of the running thread ("-" outside any thread). *)
@@ -110,10 +118,20 @@ val self_group : t -> group option
 
 val run : ?until:Time.t -> ?limit:int -> t -> unit
 (** Drain the event queue.  [until] stops the clock at a given instant
-    (remaining events stay queued); [limit] bounds the number of events
-    processed (default 200 million).  @raise Limit_exceeded *)
+    (remaining events stay queued); [limit] bounds the number of logical
+    events processed (default 200 million), elided sleep events included,
+    so the guard trips after the same event whether or not sleeps were
+    elided.  @raise Limit_exceeded *)
 
 val failures : t -> (string * exn) list
 (** Threads that died with an uncaught exception, oldest first. *)
 
 val pending_events : t -> int
+
+val dispatched : t -> int
+(** Events popped from the queue and run, over the engine's lifetime. *)
+
+val elided : t -> int
+(** Sleep events never queued because nothing could interleave with them
+    (see {!sleep}).  [dispatched + elided] is the number of logical
+    events, which does not depend on elision. *)

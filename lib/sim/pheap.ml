@@ -1,64 +1,84 @@
-type 'a entry = { time : Time.t; seq : int; value : 'a }
+(* Parallel arrays instead of one boxed record per entry: a push
+   allocates nothing unless the arrays grow, and a pop reads the key
+   through [min_time] and the value through [pop_value] without building
+   an option or a tuple. *)
+type 'a t = {
+  mutable times : Time.t array;
+  mutable seqs : int array;
+  mutable values : 'a array;
+  mutable size : int;
+}
 
-type 'a t = { mutable data : 'a entry array; mutable size : int }
+let dummy () : 'a = Obj.magic 0
 
-let dummy = { time = 0; seq = 0; value = Obj.magic 0 }
-
-let create () = { data = Array.make 16 dummy; size = 0 }
+let create () =
+  { times = Array.make 16 0; seqs = Array.make 16 0; values = Array.make 16 (dummy ()); size = 0 }
 
 let is_empty t = t.size = 0
 let length t = t.size
 
-let lt a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)
-
 let grow t =
-  let data = Array.make (2 * Array.length t.data) dummy in
-  Array.blit t.data 0 data 0 t.size;
-  t.data <- data
+  let n = 2 * Array.length t.times in
+  let extend a fill =
+    let b = Array.make n fill in
+    Array.blit a 0 b 0 t.size;
+    b
+  in
+  t.times <- extend t.times 0;
+  t.seqs <- extend t.seqs 0;
+  t.values <- extend t.values (dummy ())
+
+let set t i time seq value =
+  t.times.(i) <- time;
+  t.seqs.(i) <- seq;
+  t.values.(i) <- value
+
+let move t ~src ~dst = set t dst t.times.(src) t.seqs.(src) t.values.(src)
+
+(* Is slot [i] ordered before the key [(time, seq)]? *)
+let before t i time seq =
+  let ti = t.times.(i) in
+  ti < time || (ti = time && t.seqs.(i) < seq)
 
 let push t ~time ~seq value =
-  if t.size = Array.length t.data then grow t;
-  let e = { time; seq; value } in
-  (* Sift up. *)
+  if t.size = Array.length t.times then grow t;
+  (* Sift up: pull parents down into the hole until the key fits. *)
   let rec up i =
-    if i = 0 then t.data.(0) <- e
+    if i = 0 then 0
     else
       let parent = (i - 1) / 2 in
-      if lt e t.data.(parent) then begin
-        t.data.(i) <- t.data.(parent);
+      if before t parent time seq then i
+      else begin
+        move t ~src:parent ~dst:i;
         up parent
       end
-      else t.data.(i) <- e
   in
-  up t.size;
+  set t (up t.size) time seq value;
   t.size <- t.size + 1
 
-let pop t =
-  if t.size = 0 then None
-  else begin
-    let min = t.data.(0) in
-    t.size <- t.size - 1;
-    let e = t.data.(t.size) in
-    t.data.(t.size) <- dummy;
-    if t.size > 0 then begin
-      (* Sift down. *)
-      let rec down i =
-        let l = (2 * i) + 1 and r = (2 * i) + 2 in
-        let smallest = if l < t.size && lt t.data.(l) e then l else i in
-        let smallest =
-          if r < t.size && lt t.data.(r) (if smallest = i then e else t.data.(smallest))
-          then r
-          else smallest
-        in
-        if smallest = i then t.data.(i) <- e
-        else begin
-          t.data.(i) <- t.data.(smallest);
-          down smallest
-        end
-      in
-      down 0
-    end;
-    Some (min.time, min.seq, min.value)
-  end
+let min_time t = if t.size = 0 then max_int else t.times.(0)
 
-let peek_time t = if t.size = 0 then None else Some t.data.(0).time
+let pop_value t =
+  if t.size = 0 then invalid_arg "Pheap.pop_value: empty heap";
+  let v = t.values.(0) in
+  let n = t.size - 1 in
+  t.size <- n;
+  let time = t.times.(n) and seq = t.seqs.(n) and last = t.values.(n) in
+  t.values.(n) <- dummy ();
+  if n > 0 then begin
+    (* Sift the former last entry down from the root. *)
+    let rec down i =
+      let l = (2 * i) + 1 in
+      if l >= n then i
+      else
+        let r = l + 1 in
+        let c = if r < n && before t r t.times.(l) t.seqs.(l) then r else l in
+        if before t c time seq then begin
+          move t ~src:c ~dst:i;
+          down c
+        end
+        else i
+    in
+    set t (down 0) time seq last
+  end;
+  v

@@ -13,8 +13,10 @@ val length : 'a t -> int
 
 val push : 'a t -> time:Time.t -> seq:int -> 'a -> unit
 
-val pop : 'a t -> (Time.t * int * 'a) option
-(** Removes and returns the minimum element, ordered by time then seq. *)
+val min_time : 'a t -> Time.t
+(** The timestamp of the minimum element, ordered by time then seq;
+    [max_int] when the heap is empty. *)
 
-val peek_time : 'a t -> Time.t option
-(** The timestamp of the minimum element, without removing it. *)
+val pop_value : 'a t -> 'a
+(** Removes the minimum element and returns its value.
+    @raise Invalid_argument on an empty heap. *)

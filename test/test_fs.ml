@@ -229,6 +229,14 @@ let test_periodic_checkpoints () =
   Alcotest.(check bool) "several periodic checkpoints" true
     (Manager.checkpoints_taken mgr >= 4)
 
+(* Mysql.install's table files share one ballast string; the installed
+   size (what the C_fs model charges for) is that of 16 distinct files. *)
+let test_mysql_install_size () =
+  let fs = Memfs.create () in
+  Crane_apps.Mysql.install Crane_apps.Mysql.default_config fs;
+  Alcotest.(check int) "files" 17 (Memfs.file_count fs);
+  Alcotest.(check int) "bytes" 200_000_036 (Memfs.total_bytes fs)
+
 let qcheck = QCheck_alcotest.to_alcotest
 
 let suite =
@@ -242,6 +250,7 @@ let suite =
         Alcotest.test_case "empty diff" `Quick test_diff_empty;
         Alcotest.test_case "container bounce cost" `Quick test_container_stop_start_cost;
         Alcotest.test_case "confined blocks CRIU" `Quick test_container_confined_blocks_criu;
+        Alcotest.test_case "mysql install size" `Quick test_mysql_install_size;
       ] );
     ( "storage",
       [

@@ -16,38 +16,55 @@ let check_no_failures eng =
 (* ------------------------------------------------------------------ *)
 (* Pheap *)
 
+(* Pop every entry, checking [min_time] against each popped key. *)
+let pheap_drain h =
+  let rec go acc =
+    if Pheap.is_empty h then begin
+      Alcotest.(check int) "min_time of an empty heap" max_int (Pheap.min_time h);
+      List.rev acc
+    end
+    else
+      let time = Pheap.min_time h in
+      let ((t, _, _) as v) = Pheap.pop_value h in
+      if t <> time then Alcotest.failf "min_time %d but popped time %d" time t;
+      go (v :: acc)
+  in
+  go []
+
 let test_pheap_order () =
   let h = Pheap.create () in
-  Pheap.push h ~time:5 ~seq:0 "a";
-  Pheap.push h ~time:1 ~seq:1 "b";
-  Pheap.push h ~time:5 ~seq:2 "c";
-  Pheap.push h ~time:0 ~seq:3 "d";
-  let order = ref [] in
-  let rec drain () =
-    match Pheap.pop h with
-    | None -> ()
-    | Some (_, _, v) ->
-      order := v :: !order;
-      drain ()
-  in
-  drain ();
+  List.iteri
+    (fun seq (time, name) -> Pheap.push h ~time ~seq (time, seq, name))
+    [ (5, "a"); (1, "b"); (5, "c"); (0, "d") ];
   Alcotest.(check (list string)) "time then seq" [ "d"; "b"; "a"; "c" ]
-    (List.rev !order)
+    (List.map (fun (_, _, v) -> v) (pheap_drain h));
+  Alcotest.check_raises "pop_value on an empty heap"
+    (Invalid_argument "Pheap.pop_value: empty heap") (fun () ->
+      ignore (Pheap.pop_value h))
 
+(* Interleaved pushes and pops against a sorted-list model: every pop
+   returns the model's minimum by (time, seq), [min_time] always agrees
+   with it ([max_int] when empty), and the final drain is sorted. *)
 let prop_pheap_sorted =
   QCheck.Test.make ~name:"pheap pops sorted by (time, seq)" ~count:200
-    QCheck.(list (pair small_nat small_nat))
-    (fun entries ->
+    QCheck.(list (option small_nat))
+    (fun ops ->
       let h = Pheap.create () in
-      List.iteri (fun i (t, _) -> Pheap.push h ~time:t ~seq:i ~-i |> ignore) entries;
-      let rec drain acc =
-        match Pheap.pop h with
-        | None -> List.rev acc
-        | Some (t, s, _) -> drain ((t, s) :: acc)
-      in
-      let popped = drain [] in
-      let sorted = List.sort compare popped in
-      popped = sorted)
+      let model = ref [] and ok = ref true in
+      List.iteri
+        (fun seq op ->
+          (match (op, !model) with
+           | Some time, _ ->
+             Pheap.push h ~time ~seq (time, seq, ());
+             model := List.sort compare ((time, seq, ()) :: !model)
+           | None, [] -> ()
+           | None, m :: rest ->
+             if Pheap.pop_value h <> m then ok := false;
+             model := rest);
+          let expect = match !model with [] -> max_int | (t, _, _) :: _ -> t in
+          if Pheap.min_time h <> expect then ok := false)
+        ops;
+      !ok && pheap_drain h = !model)
 
 (* ------------------------------------------------------------------ *)
 (* Rng *)
@@ -215,6 +232,92 @@ let test_limit () =
   Alcotest.check_raises "limit guard" Engine.Limit_exceeded (fun () ->
       Engine.run ~limit:1000 eng)
 
+(* The sleep-elision cases below pin what the engine did before sleeps
+   could skip their timer and resume events: clocks, run orders and
+   logical event counts ([dispatched + elided], which elision must not
+   change).  A naive elision fails each of them. *)
+let logical eng = Engine.dispatched eng + Engine.elided eng
+
+(* The budget counts elided events: a sleep loop raises after the same
+   logical event, with the clock where the queued sleeps left it.  The
+   loop is finite so that an engine whose elided sleeps escape the budget
+   fails here instead of spinning. *)
+let test_limit_sleep () =
+  let eng = Engine.create () in
+  Engine.spawn eng ~name:"loop" (fun () ->
+      for _ = 1 to 100_000 do
+        Engine.sleep eng (Time.ns 1)
+      done);
+  Alcotest.check_raises "limit guard" Engine.Limit_exceeded (fun () ->
+      Engine.run ~limit:1000 eng);
+  Alcotest.(check int) "clock at the guard" 500 (Engine.now eng);
+  Alcotest.(check int) "logical events" 1000 (logical eng);
+  Alcotest.(check bool) "sleeps were elided" true (Engine.elided eng > 0)
+
+(* A wake beyond [until] waits for the next slice, and an event injected
+   between the slices still runs before it. *)
+let test_sleep_beyond_until () =
+  let eng = Engine.create () in
+  let log = ref [] in
+  let note s = log := (s, Engine.now eng) :: !log in
+  Engine.spawn eng ~name:"sleeper" (fun () ->
+      Engine.sleep eng (Time.ms 10);
+      note "wake");
+  Engine.run ~until:(Time.ms 5) eng;
+  Alcotest.(check int) "clock stops at until" (Time.ms 5) (Engine.now eng);
+  Alcotest.(check (list (pair string int))) "not woken yet" [] !log;
+  Engine.at eng (Time.ms 7) (fun () -> note "injected");
+  Engine.run eng;
+  Alcotest.(check (list (pair string int)))
+    "injected event first"
+    [ ("injected", Time.ms 7); ("wake", Time.ms 10) ]
+    (List.rev !log);
+  Alcotest.(check int) "logical events" 4 (logical eng)
+
+(* Sleepers waking at T alongside events at T queued before and after
+   the sleeps: each resume queues behind everything already due at T. *)
+let test_sleep_same_instant_order () =
+  let eng = Engine.create () in
+  let order = ref [] in
+  let note s () = order := s :: !order in
+  let t = Time.us 10 in
+  Engine.at eng t (note "before");
+  List.iter
+    (fun name ->
+      Engine.spawn eng ~name (fun () ->
+          Engine.sleep eng t;
+          note name ()))
+    [ "s1"; "s2" ];
+  Engine.at eng (Time.us 5) (fun () -> Engine.at eng t (note "after"));
+  (* A lone sleeper after the crowd: nothing interleaves, so it elides. *)
+  Engine.spawn eng ~name:"late" (fun () ->
+      Engine.sleep eng (Time.us 20);
+      Engine.sleep eng (Time.us 1);
+      note "late" ());
+  Engine.run eng;
+  Alcotest.(check (list string))
+    "run order"
+    [ "before"; "after"; "s1"; "s2"; "late" ]
+    (List.rev !order);
+  Alcotest.(check int) "clock" (Time.us 21) (Engine.now eng);
+  Alcotest.(check int) "logical events" 14 (logical eng);
+  Alcotest.(check bool) "the lone sleep was elided" true (Engine.elided eng > 0)
+
+(* A thread that kills its own group and then sleeps never resumes; its
+   timer still fires. *)
+let test_sleep_after_self_kill () =
+  let eng = Engine.create () in
+  let g = Engine.new_group eng in
+  let resumed = ref false in
+  Engine.spawn eng ~group:g ~name:"doomed" (fun () ->
+      Engine.kill_group eng g;
+      Engine.sleep eng (Time.us 1);
+      resumed := true);
+  Engine.run eng;
+  Alcotest.(check bool) "never resumes" false !resumed;
+  Alcotest.(check int) "clock" (Time.us 1) (Engine.now eng);
+  Alcotest.(check int) "logical events" 2 (logical eng)
+
 (* Determinism: the same seeded program produces the identical trace. *)
 let run_noise_trace seed =
   let eng = Engine.create () in
@@ -313,6 +416,10 @@ let suite =
         Alcotest.test_case "spawn inherits group" `Quick test_spawn_inherits_group;
         Alcotest.test_case "failure recorded" `Quick test_failure_recorded;
         Alcotest.test_case "event limit" `Quick test_limit;
+        Alcotest.test_case "event limit counts elided sleeps" `Quick test_limit_sleep;
+        Alcotest.test_case "sleep beyond until" `Quick test_sleep_beyond_until;
+        Alcotest.test_case "sleep same-instant order" `Quick test_sleep_same_instant_order;
+        Alcotest.test_case "sleep after self-kill" `Quick test_sleep_after_self_kill;
         Alcotest.test_case "deterministic replay" `Quick test_deterministic_replay;
         qcheck prop_engine_deterministic;
       ] );
