@@ -22,6 +22,7 @@ module Stats = Crane_report.Stats
 module Table = Crane_report.Table
 module Trace = Crane_trace.Trace
 module Metrics = Crane_trace.Metrics
+module Bench_result = Crane_report.Bench_result
 open Cmdliner
 
 type server_choice = Apache | Mongoose | Clamav | Mediatomb | Mysql
@@ -272,9 +273,11 @@ let commits_per_sec r =
    arrival rate (16 clients -> ~160k events/s) saturates the unbatched
    commit path, whose ceiling is one 15 us WAL fsync per event (~66k/s);
    commit throughput is the primary's decided index at the cutoff
-   instant over the streaming window. *)
-let bench_run choice ~batch_max ~clients ~duration ~seed =
-  let server, port = server_of choice in
+   instant over the streaming window.  The streams never reach the
+   application, so the numbers do not depend on the server: apache
+   stands in for all five. *)
+let bench_run ~batch_max ~clients ~duration ~seed =
+  let server, port = server_of Apache in
   let cfg =
     { Instance.default_config with mode = Instance.Paxos_only;
       service_port = port; paxos = fast_paxos; batch_max }
@@ -355,122 +358,47 @@ let bench_equivalence choice ~seed ~requests =
   let a = render 1 and b = render 64 in
   a <> "" && String.equal a b
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 32 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let bench_run_json (r : bench_run) =
-  Printf.sprintf
-    "{\"commits\": %d, \"wall_ms\": %.3f, \"commits_per_sec\": %.0f, \
-     \"events_sent\": %d, \"wal_writes\": %d, \"batches_committed\": %d, \
-     \"mean_events_per_batch\": %.2f}"
-    r.b_commits (Time.to_float_ms r.b_wall) (commits_per_sec r) r.b_sent
-    r.b_wal_writes r.b_batches r.b_mean_batch
-
-let bench_cmd quick seed out check servers =
-  let chosen =
-    match servers with
-    | [] -> all_servers
-    | names ->
-      List.map
-        (fun n ->
-          match List.assoc_opt n all_servers with
-          | Some c -> (n, c)
-          | None ->
-            Printf.eprintf "crane: unknown server %s\n" n;
-            exit 2)
-        names
-  in
+let batching_bench ~quick ~seed =
   let clients = 16 in
   let duration = if quick then Time.ms 200 else Time.sec 1 in
   let eq_requests = if quick then 12 else 32 in
-  let results =
+  Printf.printf "bench batching: unbatched...%!";
+  let u = bench_run ~batch_max:1 ~clients ~duration ~seed in
+  Printf.printf " batched...%!";
+  let b = bench_run ~batch_max:64 ~clients ~duration ~seed in
+  let identical =
     List.map
       (fun (name, choice) ->
-        Printf.printf "bench %s: unbatched..." name;
-        flush stdout;
-        let u = bench_run choice ~batch_max:1 ~clients ~duration ~seed in
-        Printf.printf " batched...";
-        flush stdout;
-        let b = bench_run choice ~batch_max:64 ~clients ~duration ~seed in
-        Printf.printf " equivalence...";
-        flush stdout;
-        let identical = bench_equivalence choice ~seed ~requests:eq_requests in
-        let speedup =
-          if commits_per_sec u > 0.0 then commits_per_sec b /. commits_per_sec u
-          else 0.0
-        in
-        Printf.printf " %.2fx%s\n" speedup (if identical then "" else " (OUTPUTS DIVERGE)");
-        (name, u, b, speedup, identical))
-      chosen
+        Printf.printf " %s...%!" name;
+        (name, bench_equivalence choice ~seed ~requests:eq_requests))
+      all_servers
   in
-  Table.print ~title:"batching bench (16 clients, paxos-only cluster)"
-    ~header:[ "server"; "unbatched c/s"; "batched c/s"; "speedup";
-              "mean batch"; "fsyncs saved"; "identical" ]
-    (List.map
-       (fun (name, u, b, speedup, identical) ->
-         [ name;
-           Printf.sprintf "%.0f" (commits_per_sec u);
-           Printf.sprintf "%.0f" (commits_per_sec b);
-           Printf.sprintf "%.2fx" speedup;
-           Printf.sprintf "%.1f" b.b_mean_batch;
-           Printf.sprintf "%d" (u.b_wal_writes - b.b_wal_writes);
-           string_of_bool identical ])
-       results);
+  print_newline ();
   (* The histogram clamps at the cap, so its top bucket is a fold over
      every larger size — label it "<cap>+" and report the true max. *)
-  (match results with
-  | (name, _, b, _, _) :: _ when b.b_hist <> [] ->
+  if b.b_hist <> [] then
     Table.print
-      ~title:
-        (Printf.sprintf "committed batch sizes (%s, batched run; max observed %d)"
-           name b.b_max_batch)
+      ~title:(Printf.sprintf "committed batch sizes (batched run; max observed %d)" b.b_max_batch)
       ~header:[ "events/batch"; "batches" ]
-      (Table.histogram_rows ~cap:Paxos.histogram_cap b.b_hist)
-  | _ -> ());
-  let json =
-    Printf.sprintf
-      "{\n  \"bench\": \"batching\",\n  \"seed\": %d,\n  \"mode\": \"paxos-only\",\n  \
-       \"clients\": %d,\n  \"stream_ms\": %.0f,\n  \"results\": [\n%s\n  ]\n}\n"
-      seed clients (Time.to_float_ms duration)
-      (String.concat ",\n"
-         (List.map
-            (fun (name, u, b, speedup, identical) ->
-              Printf.sprintf
-                "    {\"server\": \"%s\", \"unbatched\": %s, \"batched\": %s, \
-                 \"speedup\": %.2f, \"fixed_seed_outputs_identical\": %b}"
-                (json_escape name) (bench_run_json u) (bench_run_json b) speedup
-                identical)
-            results))
+      (Table.histogram_rows ~cap:Paxos.histogram_cap b.b_hist);
+  let side name r =
+    let open Bench_result in
+    let key k = name ^ "." ^ k in
+    [ info (key "commits") ~unit:"commits" (float r.b_commits);
+      info (key "wall_ms") ~digits:3 ~unit:"ms" (Time.to_float_ms r.b_wall);
+      higher (key "commits_per_sec") ~digits:0 ~unit:"commits/s" (commits_per_sec r);
+      info (key "events_sent") ~unit:"events" (float r.b_sent);
+      info (key "wal_writes") ~unit:"writes" (float r.b_wal_writes);
+      info (key "batches_committed") ~unit:"batches" (float r.b_batches);
+      info (key "mean_events_per_batch") ~digits:2 ~unit:"events" r.b_mean_batch ]
   in
-  (match open_out out with
-  | oc ->
-    output_string oc json;
-    close_out oc;
-    Printf.printf "wrote %s\n" out
-  | exception Sys_error msg ->
-    Printf.eprintf "crane: cannot write %s: %s\n" out msg;
-    exit 1);
-  let worst_speedup =
-    List.fold_left (fun acc (_, _, _, s, _) -> min acc s) infinity results
+  let speedup =
+    if commits_per_sec u > 0.0 then commits_per_sec b /. commits_per_sec u else 0.0
   in
-  let all_identical = List.for_all (fun (_, _, _, _, i) -> i) results in
-  if check > 0.0 && (worst_speedup < check || not all_identical) then begin
-    Printf.printf
-      "FAIL: worst speedup %.2fx (required %.2fx), outputs identical: %b\n"
-      worst_speedup check all_identical;
-    1
-  end
-  else 0
+  ( [ ("clients", clients); ("stream_ms", duration / Time.ms 1); ("equivalence_requests", eq_requests) ],
+    side "unbatched" u @ side "batched" b
+    @ Bench_result.higher "speedup" ~digits:2 ~unit:"x" ~bound:2.0 speedup
+      :: List.map (fun (name, ok) -> Bench_result.flag ("identical." ^ name) ok) identical )
 
 (* ---- bench recovery: bounded logs and two-tier catch-up ---- *)
 
@@ -501,6 +429,9 @@ type recovery_run = {
 type rnode = { rn_paxos : Paxos.t; rn_group : Engine.group; rn_state : string ref }
 
 let recovery_members = [ "n1"; "n2"; "n3" ]
+
+(* Applied decisions between two snapshots of the checkpoint backup. *)
+let recovery_snapshot_every = 256
 
 let recovery_run ~threshold ~history ~seed =
   let eng = Engine.create () in
@@ -562,15 +493,15 @@ let recovery_run ~threshold ~history ~seed =
   let n1 = boot "n1" in
   let n2 = boot "n2" in
   let n3 = boot "n3" in
-  (* n2 plays the checkpoint backup: every ~256 applied decisions it hands
-     its state to consensus as a snapshot (what Instance does after each
-     real checkpoint), which is what licenses compaction. *)
-  let snap_every = 256 in
+  (* n2 plays the checkpoint backup: every [recovery_snapshot_every]
+     applied decisions it hands its state to consensus as a snapshot (what
+     Instance does after each real checkpoint), which is what licenses
+     compaction. *)
   let last_offered = ref 0 in
   let rec snap_loop () =
     Engine.after eng (Time.ms 20) (fun () ->
         let a = Paxos.applied n2.rn_paxos in
-        if a - !last_offered >= snap_every then begin
+        if a - !last_offered >= recovery_snapshot_every then begin
           last_offered := a;
           Paxos.offer_snapshot n2.rn_paxos ~index:a
             ~blob:(Marshal.to_string !(n2.rn_state) [])
@@ -631,109 +562,44 @@ let recovery_run ~threshold ~history ~seed =
     rr_converged = converged;
   }
 
-let recovery_run_json (r : recovery_run) =
-  Printf.sprintf
-    "{\"history\": %d, \"recovery_ms\": %.3f, \"peak_log_resident\": %d, \
-     \"final_log_resident\": %d, \"wal_records\": %d, \"wal_dropped\": %d, \
-     \"compactions\": %d, \"snapshots_installed\": %d, \"converged\": %b}"
-    r.rr_history
-    (Time.to_float_ms r.rr_recovery)
-    r.rr_peak_log r.rr_final_log r.rr_wal_records r.rr_wal_dropped r.rr_compactions
-    r.rr_snapshots r.rr_converged
-
-let bench_recovery_cmd quick seed out check =
+let recovery_bench ~quick ~seed =
   let histories = if quick then [ 500; 1000; 2000 ] else [ 1000; 2000; 4000; 8000 ] in
   let threshold = 128 in
   let measure th = List.map (fun history -> recovery_run ~threshold:th ~history ~seed) histories in
-  Printf.printf "bench recovery: compaction on (threshold %d)..." threshold;
-  flush stdout;
+  Printf.printf "bench recovery: compaction on (threshold %d)...%!" threshold;
   let on = measure threshold in
-  Printf.printf " off...";
-  flush stdout;
+  Printf.printf " off...%!";
   let off = measure 0 in
-  Printf.printf " done\n";
-  Table.print
-    ~title:(Printf.sprintf "recovery bench (3 nodes, snapshot every %d decisions)" 256)
-    ~header:[ "history"; "peak log (on)"; "peak log (off)"; "recovery (on)";
-              "recovery (off)"; "snapshots"; "wal resident (on)" ]
-    (List.map2
-       (fun a b ->
-         [ string_of_int a.rr_history;
-           string_of_int a.rr_peak_log;
-           string_of_int b.rr_peak_log;
-           Time.to_string a.rr_recovery;
-           Time.to_string b.rr_recovery;
-           string_of_int a.rr_snapshots;
-           string_of_int a.rr_wal_records ])
-       on off);
-  let json =
-    Printf.sprintf
-      "{\n  \"bench\": \"recovery\",\n  \"seed\": %d,\n  \"threshold\": %d,\n  \
-       \"snapshot_every\": %d,\n  \"compaction_on\": [\n%s\n  ],\n  \
-       \"compaction_off\": [\n%s\n  ]\n}\n"
-      seed threshold 256
-      (String.concat ",\n" (List.map (fun r -> "    " ^ recovery_run_json r) on))
-      (String.concat ",\n" (List.map (fun r -> "    " ^ recovery_run_json r) off))
+  print_endline " done";
+  let run side r =
+    let open Bench_result in
+    let key k = Printf.sprintf "%s.h%d.%s" side r.rr_history k in
+    [ lower (key "recovery_ms") ~digits:3 ~unit:"ms" (Time.to_float_ms r.rr_recovery);
+      lower (key "peak_log_resident") ~unit:"entries" (float r.rr_peak_log);
+      info (key "final_log_resident") ~unit:"entries" (float r.rr_final_log);
+      info (key "wal_records") ~unit:"records" (float r.rr_wal_records);
+      info (key "wal_dropped") ~unit:"records" (float r.rr_wal_dropped);
+      info (key "compactions") (float r.rr_compactions);
+      info (key "snapshots_installed") (float r.rr_snapshots);
+      flag (key "converged") r.rr_converged ]
   in
-  (match open_out out with
-  | oc ->
-    output_string oc json;
-    close_out oc;
-    Printf.printf "wrote %s\n" out
-  | exception Sys_error msg ->
-    Printf.eprintf "crane: cannot write %s: %s\n" out msg;
-    exit 1);
-  if not check then 0
-  else begin
-    let largest = List.nth on (List.length on - 1) in
-    let smallest = List.hd on in
-    let off_largest = List.nth off (List.length off - 1) in
-    let all_converged = List.for_all (fun r -> r.rr_converged) (on @ off) in
-    (* "bounded" means the peak stops tracking history length: the largest
-       run's peak must stay within a constant band of the smallest run's,
-       and clearly below the uncompacted peak. *)
-    let flat = largest.rr_peak_log <= (2 * smallest.rr_peak_log) + 256 in
-    let below_off = largest.rr_peak_log < off_largest.rr_peak_log in
-    let snapshot_used = largest.rr_snapshots >= 1 in
-    if all_converged && flat && below_off && snapshot_used then begin
-      Printf.printf
-        "CHECK OK: peak %d entries at history %d (vs %d uncompacted), snapshot \
-         path used\n"
-        largest.rr_peak_log largest.rr_history off_largest.rr_peak_log;
-      0
-    end
-    else begin
-      Printf.printf
-        "CHECK FAIL: converged=%b flat=%b (peak %d vs %d) below-uncompacted=%b \
-         (%d vs %d) snapshot-used=%b\n"
-        all_converged flat largest.rr_peak_log smallest.rr_peak_log below_off
-        largest.rr_peak_log off_largest.rr_peak_log snapshot_used;
-      1
-    end
-  end
+  let last l = List.nth l (List.length l - 1) in
+  let smallest = List.hd on and largest = last on and off_largest = last off in
+  (* "bounded" means the peak stops tracking history length: the largest
+     run's peak must stay within a constant band of the smallest run's,
+     and clearly below the uncompacted peak. *)
+  ( [ ("threshold", threshold); ("snapshot_every", recovery_snapshot_every);
+      ("max_history", largest.rr_history) ],
+    List.concat_map (run "on") on @ List.concat_map (run "off") off
+    @ Bench_result.
+        [ flag "peak_flat" (largest.rr_peak_log <= (2 * smallest.rr_peak_log) + 256);
+          flag "peak_below_uncompacted" (largest.rr_peak_log < off_largest.rr_peak_log);
+          flag "snapshot_path_used" (largest.rr_snapshots >= 1) ] )
 
 (* ---- bench: client-visible unavailability during a live replica
    replacement ---- *)
 
 module Ledger = Crane_chaos.Ledger
-
-type reconfig_run = {
-  cr_ok : int;
-  cr_errors : int;
-  cr_retries : int;
-  cr_epoch : int;
-  cr_steady_gap : Time.t;
-      (** widest gap between consecutive successful completions before the
-          primary dies: the no-fault baseline *)
-  cr_unavail : Time.t;
-      (** widest gap across the whole run — the client-visible outage
-          spanning the crash, the election and the membership change *)
-  cr_wall : Time.t;
-  cr_healed : bool;  (** the replacement is live and a member at the end *)
-  cr_spans_fault : bool;
-      (** the workload was still running when the primary died — without
-          this the gap analysis would measure nothing *)
-}
 
 let max_gap instants =
   let rec go acc = function
@@ -782,89 +648,41 @@ let reconfig_bench_run ~seed ~requests =
   Cluster.run ~until:(Engine.now eng + Time.sec 3) cluster;
   Cluster.check_failures cluster;
   let before = List.filter (fun t -> t < kill_at) load.Loadgen.completions in
-  let last =
-    List.fold_left max Time.zero load.Loadgen.completions
-  in
-  {
-    cr_ok = List.length load.Loadgen.latencies;
-    cr_errors = load.Loadgen.errors;
-    cr_retries = load.Loadgen.retries;
-    cr_epoch = Cluster.current_epoch cluster;
-    cr_steady_gap = max_gap before;
-    cr_unavail = max_gap load.Loadgen.completions;
-    cr_wall = load.Loadgen.wall;
-    cr_healed =
-      Cluster.instance cluster "replica4" <> None
+  let last = List.fold_left max Time.zero load.Loadgen.completions in
+  let open Bench_result in
+  [ info "ok" ~unit:"requests" (float (List.length load.Loadgen.latencies));
+    lower "errors" ~bound:0.0 ~unit:"requests" (float load.Loadgen.errors);
+    info "retries" ~unit:"requests" (float load.Loadgen.retries);
+    higher "epoch" ~bound:1.0 ~unit:"epoch" (float (Cluster.current_epoch cluster));
+    (* widest gap between consecutive successful completions before the
+       primary dies: the no-fault baseline *)
+    lower "steady_gap_ns" ~unit:"ns" (float (max_gap before));
+    (* widest gap across the whole run: the client-visible outage spanning
+       the crash, the election and the membership change *)
+    lower "unavail_ns" ~bound:(float (Time.ms 1500)) ~unit:"ns"
+      (float (max_gap load.Loadgen.completions));
+    info "wall_ns" ~unit:"ns" (float load.Loadgen.wall);
+    (* the replacement is live and a member, the dead node fenced out *)
+    flag "healed"
+      (Cluster.instance cluster "replica4" <> None
       && List.mem "replica4" (Cluster.members cluster)
       && (not (List.mem !dead (Cluster.members cluster)))
-      && Cluster.primary_node cluster <> None;
-    cr_spans_fault = last > kill_at;
-  }
+      && Cluster.primary_node cluster <> None);
+    (* the workload was still running when the primary died: without
+       this the gap analysis would measure nothing *)
+    flag "spans_fault" (last > kill_at) ]
 
-let reconfig_run_json r =
-  Printf.sprintf
-    "{ \"ok\": %d, \"errors\": %d, \"retries\": %d, \"epoch\": %d, \
-     \"steady_gap_ns\": %d, \"unavail_ns\": %d, \"wall_ns\": %d, \
-     \"healed\": %b, \"spans_fault\": %b }"
-    r.cr_ok r.cr_errors r.cr_retries r.cr_epoch r.cr_steady_gap r.cr_unavail
-    r.cr_wall r.cr_healed r.cr_spans_fault
-
-let bench_reconfig_cmd quick seed out check =
+let reconfig_bench ~quick ~seed =
   let requests = if quick then 4000 else 8000 in
-  Printf.printf "bench reconfig: replace the killed primary under load...";
-  flush stdout;
-  let r = reconfig_bench_run ~seed ~requests in
+  Printf.printf "bench reconfig: replace the killed primary under load...%!";
+  let run () = reconfig_bench_run ~seed ~requests in
+  let first = run () in
   (* Same seed, fresh cluster: the availability measurement must be a pure
-     function of the seed for the gate (and CI diffs) to mean anything. *)
-  let r2 = reconfig_bench_run ~seed ~requests in
-  Printf.printf " done\n";
-  let identical = reconfig_run_json r = reconfig_run_json r2 in
-  Table.print
-    ~title:"reconfig bench (kill primary + replace, 6 clients)"
-    ~header:
-      [ "ok"; "errors"; "retries"; "epoch"; "steady max gap"; "unavailability";
-        "healed"; "deterministic" ]
-    [ [ string_of_int r.cr_ok; string_of_int r.cr_errors;
-        string_of_int r.cr_retries; string_of_int r.cr_epoch;
-        Time.to_string r.cr_steady_gap; Time.to_string r.cr_unavail;
-        string_of_bool r.cr_healed; string_of_bool identical ] ];
-  let json =
-    Printf.sprintf
-      "{\n  \"bench\": \"reconfig\",\n  \"seed\": %d,\n  \"requests\": %d,\n  \
-       \"run\": %s,\n  \"rerun_identical\": %b\n}\n"
-      seed requests (reconfig_run_json r) identical
-  in
-  (match open_out out with
-  | oc ->
-    output_string oc json;
-    close_out oc;
-    Printf.printf "wrote %s\n" out
-  | exception Sys_error msg ->
-    Printf.eprintf "crane: cannot write %s: %s\n" out msg;
-    exit 1);
-  if not check then 0
-  else begin
-    let bound = Time.ms 1500 in
-    let ok =
-      r.cr_errors = 0 && r.cr_epoch >= 1 && r.cr_healed && r.cr_spans_fault
-      && r.cr_unavail <= bound && identical
-    in
-    if ok then begin
-      Printf.printf
-        "CHECK OK: 0 errors, epoch %d, unavailability %s (bound %s), \
-         deterministic\n"
-        r.cr_epoch (Time.to_string r.cr_unavail) (Time.to_string bound);
-      0
-    end
-    else begin
-      Printf.printf
-        "CHECK FAIL: errors=%d epoch=%d healed=%b spans-fault=%b unavail=%s \
-         (bound %s) identical=%b\n"
-        r.cr_errors r.cr_epoch r.cr_healed r.cr_spans_fault
-        (Time.to_string r.cr_unavail) (Time.to_string bound) identical;
-      1
-    end
-  end
+     function of the seed for the gate (and the drift check) to mean
+     anything. *)
+  let second = run () in
+  print_endline " done";
+  ([ ("requests", requests) ], first @ [ Bench_result.flag "rerun_identical" (first = second) ])
 
 (* ---- bench readmix: lease/backup read fast path vs all-consensus
    reads on a read-heavy mix ---- *)
@@ -887,12 +705,14 @@ type readmix_run = {
   rm_wall : Time.t;
 }
 
+let readmix_read_pct = 95
+
 (* One measured configuration: a 3-replica Paxos_only ledger cluster
    under a closed-loop 95/5 read/write mix.  [fastpath] selects the read
    route — the proxy read port (lease reads on the primary, bounded-stale
    on backups, consensus fallback on REJECT) or the all-consensus funnel
    every request used before the split. *)
-let readmix_run ~seed ~requests ~read_pct ~fastpath =
+let readmix_run ~seed ~requests ~fastpath =
   let cfg =
     { Instance.default_config with mode = Instance.Paxos_only;
       paxos = fast_paxos; read_fastpath = fastpath }
@@ -920,7 +740,7 @@ let readmix_run ~seed ~requests ~read_pct ~fastpath =
   in
   let handle =
     Loadgen.run ~name:"readmix" ~seed ~think:(Time.ms 2) ~retries:8
-      ~retry_backoff:(Time.ms 50) ~read_pct ~read_request ~clients:8 ~requests
+      ~retry_backoff:(Time.ms 50) ~read_pct:readmix_read_pct ~read_request ~clients:8 ~requests
       ~request:(Ledger.request ledger) target
   in
   Loadgen.drive ~timeout:(Time.sec 240) target handle;
@@ -953,91 +773,46 @@ let readmix_run ~seed ~requests ~read_pct ~fastpath =
     rm_wall = load.Loadgen.wall;
   }
 
-let readmix_run_json r =
-  Printf.sprintf
-    "{ \"reads\": %d, \"writes\": %d, \"errors\": %d, \"committed\": %d, \
-     \"offload\": %.3f, \"read_mean_ns\": %.0f, \"write_mean_ns\": %.0f, \
-     \"lease_reads\": %d, \"backup_reads\": %d, \"lease_rejects\": %d, \
-     \"wall_ns\": %d }"
-    r.rm_reads r.rm_writes r.rm_errors r.rm_committed r.rm_offload
-    r.rm_read_mean r.rm_write_mean r.rm_lease_reads r.rm_backup_reads
-    r.rm_lease_rejects r.rm_wall
+let readmix_metrics ~fast side r =
+  let open Bench_result in
+  let key k = side ^ "." ^ k in
+  (* only the fast path has to serve reads off the commit path *)
+  let served k v =
+    if fast then higher (key k) ~bound:1.0 ~unit:"reads" (float v)
+    else info (key k) ~unit:"reads" (float v)
+  in
+  [ info (key "reads") ~unit:"requests" (float r.rm_reads);
+    info (key "writes") ~unit:"requests" (float r.rm_writes);
+    lower (key "errors") ~bound:0.0 ~unit:"requests" (float r.rm_errors);
+    info (key "committed") ~unit:"entries" (float r.rm_committed);
+    higher (key "offload") ~digits:3 ~unit:"requests/entry" r.rm_offload;
+    lower (key "read_mean_ns") ~digits:0 ~unit:"ns" r.rm_read_mean;
+    lower (key "write_mean_ns") ~digits:0 ~unit:"ns" r.rm_write_mean;
+    served "lease_reads" r.rm_lease_reads;
+    served "backup_reads" r.rm_backup_reads;
+    info (key "lease_rejects") ~unit:"reads" (float r.rm_lease_rejects);
+    info (key "wall_ns") ~unit:"ns" (float r.rm_wall) ]
 
-let bench_readmix_cmd quick seed read_pct out check =
+let readmix_bench ~quick ~seed =
   let requests = if quick then 1500 else 3000 in
-  Printf.printf "bench readmix: %d/%d read/write mix, fast path on..."
-    read_pct (100 - read_pct);
-  flush stdout;
-  let fast = readmix_run ~seed ~requests ~read_pct ~fastpath:true in
-  Printf.printf " off...";
-  flush stdout;
-  let base = readmix_run ~seed ~requests ~read_pct ~fastpath:false in
+  Printf.printf "bench readmix: %d/%d read/write mix, fast path on...%!" readmix_read_pct
+    (100 - readmix_read_pct);
+  let fast = readmix_run ~seed ~requests ~fastpath:true in
+  Printf.printf " off...%!";
+  let base = readmix_run ~seed ~requests ~fastpath:false in
   (* Same seed, fresh cluster: the measurement must be a pure function of
-     the seed for the gate (and CI diffs) to mean anything. *)
-  let fast2 = readmix_run ~seed ~requests ~read_pct ~fastpath:true in
-  Printf.printf " done\n";
-  let identical = readmix_run_json fast = readmix_run_json fast2 in
+     the seed for the gate (and the drift check) to mean anything. *)
+  let fast2 = readmix_run ~seed ~requests ~fastpath:true in
+  print_endline " done";
+  let fast_metrics = readmix_metrics ~fast:true "fastpath" fast in
   let ratio =
     if base.rm_offload = 0.0 then 0.0 else fast.rm_offload /. base.rm_offload
   in
-  let row name r =
-    [ name; string_of_int r.rm_reads; string_of_int r.rm_writes;
-      string_of_int r.rm_errors; string_of_int r.rm_committed;
-      Printf.sprintf "%.2f" r.rm_offload;
-      Time.to_string (int_of_float r.rm_read_mean);
-      Time.to_string (int_of_float r.rm_write_mean);
-      Printf.sprintf "%d/%d/%d" r.rm_lease_reads r.rm_backup_reads
-        r.rm_lease_rejects ]
-  in
-  Table.print
-    ~title:
-      (Printf.sprintf "read-mix bench (%d%% reads, 8 clients, ledger)" read_pct)
-    ~header:
-      [ "reads"; "ok-r"; "ok-w"; "errors"; "committed"; "ok/entry";
-        "read mean"; "write mean"; "lease/backup/rej" ]
-    [ row "fast path" fast; row "all consensus" base ];
-  Printf.printf "commit-path offload: %.2fx (fast %.2f vs consensus %.2f \
-                 completions per entry)\n"
-    ratio fast.rm_offload base.rm_offload;
-  let json =
-    Printf.sprintf
-      "{\n  \"bench\": \"readmix\",\n  \"seed\": %d,\n  \"requests\": %d,\n  \
-       \"read_pct\": %d,\n  \"fastpath\": %s,\n  \"consensus\": %s,\n  \
-       \"offload_ratio\": %.3f,\n  \"rerun_identical\": %b\n}\n"
-      seed requests read_pct (readmix_run_json fast) (readmix_run_json base)
-      ratio identical
-  in
-  (match open_out out with
-  | oc ->
-    output_string oc json;
-    close_out oc;
-    Printf.printf "wrote %s\n" out
-  | exception Sys_error msg ->
-    Printf.eprintf "crane: cannot write %s: %s\n" out msg;
-    exit 1);
-  if not check then 0
-  else begin
-    let bound = 2.0 in
-    let ok =
-      fast.rm_errors = 0 && base.rm_errors = 0 && ratio >= bound
-      && fast.rm_lease_reads > 0 && fast.rm_backup_reads > 0 && identical
-    in
-    if ok then begin
-      Printf.printf
-        "CHECK OK: offload %.2fx (bound %.1fx), %d lease + %d backup reads, \
-         0 errors, deterministic\n"
-        ratio bound fast.rm_lease_reads fast.rm_backup_reads;
-      0
-    end
-    else begin
-      Printf.printf
-        "CHECK FAIL: ratio=%.2f (bound %.1f) errors=%d/%d lease=%d backup=%d \
-         identical=%b\n"
-        ratio bound fast.rm_errors base.rm_errors fast.rm_lease_reads
-        fast.rm_backup_reads identical;
-      1
-    end
-  end
+  ( [ ("requests", requests); ("read_pct", readmix_read_pct) ],
+    fast_metrics @ readmix_metrics ~fast:false "consensus" base
+    @ Bench_result.
+        [ higher "offload_ratio" ~digits:3 ~unit:"x" ~bound:2.0 ratio;
+          flag "rerun_identical" (fast_metrics = readmix_metrics ~fast:true "fastpath" fast2) ] )
 
 let servers_cmd () =
   print_endline "available servers:";
@@ -1321,158 +1096,59 @@ let profile_cmd choice clients requests seed whatifs trace_out =
   end
   else 0
 
-(* ---- bench latency: stage decomposition + what-if deltas as JSON ---- *)
+(* ---- bench latency: stage decomposition + what-if deltas ---- *)
 
-let summary_json (s : Metrics.summary) =
-  Printf.sprintf
-    "{\"count\": %d, \"p50_ns\": %d, \"p90_ns\": %d, \"p99_ns\": %d, \
-     \"max_ns\": %d, \"mean_ns\": %.0f, \"total_ns\": %d}"
-    s.Metrics.count s.Metrics.p50 s.Metrics.p90 s.Metrics.p99 s.Metrics.max
-    s.Metrics.mean s.Metrics.total
+let summary_metrics ?better key (s : Metrics.summary) =
+  let open Bench_result in
+  let ns k v = make ?better ~unit:"ns" (key ^ "." ^ k) (float v) in
+  [ info (key ^ ".count") (float s.Metrics.count);
+    ns "p50_ns" s.Metrics.p50; ns "p90_ns" s.Metrics.p90; ns "p99_ns" s.Metrics.p99;
+    ns "max_ns" s.Metrics.max;
+    make ?better ~digits:0 ~unit:"ns" (key ^ ".mean_ns") s.Metrics.mean;
+    info (key ^ ".total_ns") ~unit:"ns" (float s.Metrics.total) ]
 
-let bench_latency_cmd quick seed out check servers =
-  let chosen =
-    match servers with
-    | [] -> all_servers
-    | names ->
-      List.map
-        (fun n ->
-          match List.assoc_opt n all_servers with
-          | Some c -> (n, c)
-          | None ->
-            Printf.eprintf "crane: unknown server %s\n" n;
-            exit 2)
-        names
-  in
+let latency_metrics name base variants =
+  let open Bench_result in
+  let r = base.p_report in
+  let key k = name ^ "." ^ k in
+  let e2e_mean run = run.p_report.Critical_path.e2e.Metrics.mean in
+  [ info (key "committed") ~unit:"requests" (float r.Critical_path.committed);
+    info (key "complete") ~unit:"requests" (float r.Critical_path.complete);
+    higher (key "coverage") ~digits:4 ~bound:0.99 ~unit:"fraction" r.Critical_path.coverage;
+    lower (key "span_errors") ~bound:0.0 ~unit:"DAGs" (float (List.length r.Critical_path.errors)) ]
+  @ summary_metrics ~better:Lower (key "e2e") r.Critical_path.e2e
+  @ List.concat_map
+      (fun row -> summary_metrics (key row.Critical_path.stage) row.Critical_path.summary)
+      r.Critical_path.stages
+  @ List.concat_map
+      (fun (w, v) ->
+        let key k = name ^ "." ^ whatif_name w ^ "." ^ k in
+        [ lower (key "e2e_mean_ns") ~digits:0 ~unit:"ns" (e2e_mean v);
+          info (key "delta_ns") ~digits:0 ~unit:"ns" (e2e_mean base -. e2e_mean v);
+          info (key "coverage") ~digits:4 ~unit:"fraction" v.p_report.Critical_path.coverage ])
+      variants
+  @ [ flag (key "fsync2x_moved") (e2e_mean base <> e2e_mean (List.assoc Fsync2x variants)) ]
+
+let latency_bench ~quick ~seed =
   let clients = if quick then 4 else 8 in
   let requests = if quick then 60 else 200 in
-  let results =
-    List.map
+  let metrics =
+    List.concat_map
       (fun (name, choice) ->
-        Printf.printf "latency %s: base..." name;
-        flush stdout;
+        Printf.printf "latency %s: base...%!" name;
         let base = profiled_run choice ~clients ~requests ~seed ~tweak:None in
         let variants =
           List.map
-            (fun (_, w) ->
-              Printf.printf " %s..." (whatif_name w);
-              flush stdout;
+            (fun (wname, w) ->
+              Printf.printf " %s...%!" wname;
               (w, profiled_run choice ~clients ~requests ~seed ~tweak:(Some w)))
             all_whatifs
         in
-        let r = base.p_report in
-        Printf.printf " coverage %.1f%%\n" (100. *. r.Critical_path.coverage);
-        (name, base, variants))
-      chosen
+        Printf.printf " coverage %.1f%%\n" (100. *. base.p_report.Critical_path.coverage);
+        latency_metrics name base variants)
+      all_servers
   in
-  Table.print ~title:"commit critical path (e2e mean us per stage-bearing run)"
-    ~header:
-      ([ "server"; "coverage"; "e2e p50 us" ]
-      @ List.map (fun s -> s ^ " p50") Critical_path.stage_order)
-    (List.map
-       (fun (name, base, _) ->
-         let r = base.p_report in
-         let stage_p50 s =
-           let row =
-             List.find (fun x -> x.Critical_path.stage = s) r.Critical_path.stages
-           in
-           Printf.sprintf "%.1f" (float_of_int row.Critical_path.summary.Metrics.p50 /. 1e3)
-         in
-         [ name;
-           Printf.sprintf "%.1f%%" (100. *. r.Critical_path.coverage);
-           Printf.sprintf "%.1f" (float_of_int r.Critical_path.e2e.Metrics.p50 /. 1e3) ]
-         @ List.map stage_p50 Critical_path.stage_order)
-       results);
-  let result_json (name, base, variants) =
-    let r = base.p_report in
-    let stages =
-      String.concat ", "
-        (List.map
-           (fun row ->
-             Printf.sprintf "\"%s\": %s"
-               (json_escape row.Critical_path.stage)
-               (summary_json row.Critical_path.summary))
-           r.Critical_path.stages)
-    in
-    let whatifs =
-      String.concat ", "
-        (List.map
-           (fun (w, v) ->
-             let b = r.Critical_path.e2e and ve = v.p_report.Critical_path.e2e in
-             Printf.sprintf
-               "{\"name\": \"%s\", \"e2e_mean_ns\": %.0f, \"delta_ns\": %.0f, \
-                \"coverage\": %.4f}"
-               (json_escape (whatif_name w)) ve.Metrics.mean
-               (b.Metrics.mean -. ve.Metrics.mean)
-               v.p_report.Critical_path.coverage)
-           variants)
-    in
-    Printf.sprintf
-      "    {\"server\": \"%s\", \"committed\": %d, \"complete\": %d, \
-       \"coverage\": %.4f, \"span_errors\": %d, \"e2e\": %s, \
-       \"stages\": {%s}, \"what_if\": [%s]}"
-      (json_escape name) r.Critical_path.committed r.Critical_path.complete
-      r.Critical_path.coverage
-      (List.length r.Critical_path.errors)
-      (summary_json r.Critical_path.e2e) stages whatifs
-  in
-  let json =
-    Printf.sprintf
-      "{\n  \"bench\": \"latency\",\n  \"seed\": %d,\n  \"mode\": \"crane\",\n  \
-       \"clients\": %d,\n  \"requests\": %d,\n  \"results\": [\n%s\n  ]\n}\n"
-      seed clients requests
-      (String.concat ",\n" (List.map result_json results))
-  in
-  (match open_out out with
-  | oc ->
-    output_string oc json;
-    close_out oc;
-    Printf.printf "wrote %s\n" out
-  | exception Sys_error msg ->
-    Printf.eprintf "crane: cannot write %s: %s\n" out msg;
-    exit 1);
-  if check then begin
-    let failures =
-      List.concat_map
-        (fun (name, base, variants) ->
-          let r = base.p_report in
-          let cov =
-            if r.Critical_path.coverage < 0.99 then
-              [ Printf.sprintf "%s: span coverage %.1f%% < 99%%" name
-                  (100. *. r.Critical_path.coverage) ]
-            else []
-          in
-          let errs =
-            if r.Critical_path.errors <> [] then
-              [ Printf.sprintf "%s: %d malformed span DAGs" name
-                  (List.length r.Critical_path.errors) ]
-            else []
-          in
-          let fsync_delta =
-            match List.assoc_opt Fsync2x variants with
-            | Some v ->
-              let d =
-                r.Critical_path.e2e.Metrics.mean
-                -. v.p_report.Critical_path.e2e.Metrics.mean
-              in
-              if d = 0.0 then
-                [ Printf.sprintf "%s: fsync2x what-if moved e2e latency by 0" name ]
-              else []
-            | None -> []
-          in
-          cov @ errs @ fsync_delta)
-        results
-    in
-    if failures <> [] then begin
-      List.iter (fun f -> Printf.printf "FAIL: %s\n" f) failures;
-      1
-    end
-    else begin
-      Printf.printf "check ok: coverage >= 99%%, no span errors, fsync2x delta nonzero\n";
-      0
-    end
-  end
-  else 0
+  ([ ("clients", clients); ("requests", requests) ], metrics)
 
 (* ---- bench parallel: dependency-aware parallel delivery ---- *)
 
@@ -1737,224 +1413,111 @@ let parallel_run app ~pool ~clients ~per_client ~seed =
     pr_committed = committed;
   }
 
-let parallel_side_json (r : parallel_run) =
-  Printf.sprintf
-    "{\"commit_reply_mean_ns\": %.0f, \"e2e_mean_ns\": %.0f, \"ok\": %d, \
-     \"errors\": %d, \"committed\": %d, \"cert_windows\": %d, \
-     \"cert_commands\": %d, \"cert_locations\": %d, \"cert_confined\": %d, \
-     \"cert_violations\": %d}"
-    r.pr_exec_mean r.pr_e2e_mean r.pr_ok r.pr_errors r.pr_committed
-    r.pr_cert.Certifier.windows r.pr_cert.Certifier.commands
-    r.pr_cert.Certifier.locations r.pr_cert.Certifier.confined
-    (List.length r.pr_cert.Certifier.violations)
+let parallel_side key (r : parallel_run) =
+  let open Bench_result in
+  let key k = key ^ "." ^ k in
+  let c = r.pr_cert in
+  [ lower (key "commit_reply_mean_ns") ~digits:0 ~unit:"ns" r.pr_exec_mean;
+    lower (key "e2e_mean_ns") ~digits:0 ~unit:"ns" r.pr_e2e_mean;
+    info (key "ok") ~unit:"requests" (float r.pr_ok);
+    lower (key "errors") ~bound:0.0 ~unit:"requests" (float r.pr_errors);
+    info (key "committed") ~unit:"entries" (float r.pr_committed);
+    info (key "cert_windows") (float c.Certifier.windows);
+    info (key "cert_commands") (float c.Certifier.commands);
+    info (key "cert_locations") (float c.Certifier.locations);
+    info (key "cert_confined") (float c.Certifier.confined);
+    info (key "cert_violations") (float (List.length c.Certifier.violations)) ]
 
-let bench_parallel_cmd quick seed out check apps =
-  let chosen =
-    match apps with
-    | [] -> all_papps
-    | names ->
-      List.map
-        (fun n ->
-          match List.assoc_opt n all_papps with
-          | Some a -> (n, a)
-          | None ->
-            Printf.eprintf "crane: unknown app %s (ledger|mysql|http)\n" n;
-            exit 2)
-        names
-  in
+let parallel_bench ~quick ~seed =
   let clients = 8 and workers = 4 in
   let per_client = if quick then 6 else 16 in
   let results =
     List.map
       (fun (name, app) ->
-        Printf.printf "parallel %s: pool off..." name;
-        flush stdout;
+        Printf.printf "parallel %s: pool off...%!" name;
         let serial = parallel_run app ~pool:1 ~clients ~per_client ~seed in
-        Printf.printf " pool x%d..." workers;
-        flush stdout;
+        Printf.printf " pool x%d...%!" workers;
         let pooled = parallel_run app ~pool:workers ~clients ~per_client ~seed in
         let speedup =
-          if pooled.pr_exec_mean > 0.0 then
-            serial.pr_exec_mean /. pooled.pr_exec_mean
+          if pooled.pr_exec_mean > 0.0 then serial.pr_exec_mean /. pooled.pr_exec_mean
           else 0.0
         in
-        let outputs_identical = String.equal serial.pr_outputs pooled.pr_outputs in
-        let state_identical = String.equal serial.pr_state pooled.pr_state in
+        let identical =
+          String.equal serial.pr_outputs pooled.pr_outputs
+          && String.equal serial.pr_state pooled.pr_state
+        in
         let certified = Certifier.certified pooled.pr_cert in
-        Printf.printf " %.2fx%s%s\n" speedup
-          (if outputs_identical && state_identical then "" else " (OUTPUTS DIVERGE)")
-          (if certified then "" else " (CERTIFIER VIOLATIONS)");
+        Printf.printf " %.2fx\n" speedup;
         if not certified then print_string (Certifier.render pooled.pr_cert);
-        (name, serial, pooled, speedup, outputs_identical && state_identical, certified))
-      chosen
+        ( speedup,
+          parallel_side (name ^ ".serial") serial @ parallel_side (name ^ ".pooled") pooled
+          @ Bench_result.
+              [ higher (name ^ ".speedup") ~digits:2 ~unit:"x" speedup;
+                flag (name ^ ".outputs_identical") identical;
+                flag (name ^ ".certified") certified ] ))
+      all_papps
   in
-  Table.print
-    ~title:
-      (Printf.sprintf
-         "parallel delivery bench (%d clients, %d workers, crane mode)"
-         clients workers)
-    ~header:
-      [ "app"; "commit-reply off us"; "commit-reply on us"; "speedup";
-        "e2e off us"; "e2e on us"; "identical"; "certified" ]
-    (List.map
-       (fun (name, s, p, speedup, identical, certified) ->
-         [ name;
-           Printf.sprintf "%.1f" (s.pr_exec_mean /. 1e3);
-           Printf.sprintf "%.1f" (p.pr_exec_mean /. 1e3);
-           Printf.sprintf "%.2fx" speedup;
-           Printf.sprintf "%.1f" (s.pr_e2e_mean /. 1e3);
-           Printf.sprintf "%.1f" (p.pr_e2e_mean /. 1e3);
-           string_of_bool identical;
-           Printf.sprintf "%b (%d cmds, %d locs)" certified
-             p.pr_cert.Certifier.commands p.pr_cert.Certifier.locations ])
-       results);
-  let json =
-    Printf.sprintf
-      "{\n  \"bench\": \"parallel\",\n  \"seed\": %d,\n  \"mode\": \"crane\",\n  \
-       \"clients\": %d,\n  \"workers\": %d,\n  \"per_client\": %d,\n  \
-       \"results\": [\n%s\n  ]\n}\n"
-      seed clients workers per_client
-      (String.concat ",\n"
-         (List.map
-            (fun (name, s, p, speedup, identical, certified) ->
-              Printf.sprintf
-                "    {\"app\": \"%s\", \"serial\": %s, \"pooled\": %s, \
-                 \"speedup\": %.2f, \"fixed_seed_outputs_identical\": %b, \
-                 \"certified\": %b}"
-                (json_escape name) (parallel_side_json s) (parallel_side_json p)
-                speedup identical certified)
-            results))
+  let best = List.fold_left (fun acc (s, _) -> max acc s) 0.0 results in
+  ( [ ("clients", clients); ("workers", workers); ("per_client", per_client) ],
+    List.concat_map snd results
+    @ [ Bench_result.higher "best_speedup" ~digits:2 ~unit:"x" ~bound:1.5 best ] )
+
+(* ---- bench: one runner for every driver above.  A driver returns its
+   workload sizes and metrics; the runner adds the seed and quick to the
+   configuration, writes the JSON, prints the table and applies the
+   gate. ---- *)
+
+let bench_main name run quick seed out check =
+  let sizes, metrics = run ~quick ~seed in
+  let result =
+    { Bench_result.bench = name;
+      config = ("seed", seed) :: ("quick", Bool.to_int quick) :: sizes;
+      metrics }
   in
-  (match open_out out with
-  | oc ->
-    output_string oc json;
-    close_out oc;
-    Printf.printf "wrote %s\n" out
+  Bench_result.print result;
+  (match Bench_result.write out result with
+  | () -> Printf.printf "wrote %s (%d metrics)\n" out (List.length metrics)
   | exception Sys_error msg ->
     Printf.eprintf "crane: cannot write %s: %s\n" out msg;
     exit 1);
-  match check with
-  | None -> 0
-  | Some bound ->
-    let best =
-      List.fold_left (fun acc (_, _, _, s, _, _) -> max acc s) 0.0 results
-    in
-    let all_identical = List.for_all (fun (_, _, _, _, i, _) -> i) results in
-    let all_certified = List.for_all (fun (_, _, _, _, _, c) -> c) results in
-    let errors =
-      List.fold_left
-        (fun acc (_, s, p, _, _, _) -> acc + s.pr_errors + p.pr_errors)
-        0 results
-    in
-    if best >= bound && all_identical && all_certified && errors = 0 then begin
-      Printf.printf
-        "CHECK OK: best execute speedup %.2fx (bound %.1fx), outputs \
-         identical, schedules certified, 0 errors\n"
-        best bound;
+  if not check then 0
+  else
+    match Bench_result.gate result with
+    | [] ->
+      Printf.printf "CHECK OK: %d gated metrics within their bounds\n"
+        (List.length (List.filter (fun m -> m.Bench_result.bound <> None) metrics));
       0
-    end
-    else begin
-      Printf.printf
-        "CHECK FAIL: best=%.2fx (bound %.1f) identical=%b certified=%b \
-         errors=%d\n"
-        best bound all_identical all_certified errors;
+    | failed ->
+      List.iter
+        (fun m ->
+          Printf.printf "CHECK FAIL: %s = %s, gate %s\n" m.Bench_result.name
+            (Bench_result.number m.Bench_result.value) (Bench_result.bound_text m))
+        failed;
       1
-    end
 
-(* ---- bench drift: compare a fresh bench JSON against the committed
-   baseline ---- *)
-
-(* Scan [key]: <float> occurrences out of a bench JSON.  The bench
-   writers emit a fixed flat format (see the Printf.sprintf calls
-   above), so plain string scanning is enough — no JSON parser in the
-   toolchain, and none needed. *)
-let scan_floats ~key text =
-  let needle = "\"" ^ key ^ "\":" in
-  let nlen = String.length needle and len = String.length text in
-  let out = ref [] in
-  let i = ref 0 in
-  while !i + nlen <= len do
-    if String.sub text !i nlen = needle then begin
-      let j = ref (!i + nlen) in
-      while !j < len && text.[!j] = ' ' do incr j done;
-      let k = ref !j in
-      while
-        !k < len
-        && (match text.[!k] with '0' .. '9' | '.' | '-' | 'e' | '+' -> true | _ -> false)
-      do
-        incr k
-      done;
-      (match float_of_string_opt (String.sub text !j (!k - !j)) with
-      | Some f -> out := f :: !out
-      | None -> ());
-      i := !k
-    end
-    else incr i
-  done;
-  List.rev !out
-
-let drift_metric text =
-  (* Headline metric per bench kind: the min per-result speedup for
-     batching/parallel, the offload ratio for readmix. *)
-  let has kind =
-    let needle = Printf.sprintf "\"bench\": \"%s\"" kind in
-    let nlen = String.length needle in
-    let rec find i =
-      if i + nlen > String.length text then false
-      else if String.sub text i nlen = needle then true
-      else find (i + 1)
-    in
-    find 0
-  in
-  if has "readmix" then
-    match scan_floats ~key:"offload_ratio" text with
-    | r :: _ -> Some ("offload_ratio", r)
-    | [] -> None
-  else if has "batching" || has "parallel" then
-    match scan_floats ~key:"speedup" text with
-    | [] -> None
-    | l -> Some ("min speedup", List.fold_left min infinity l)
-  else None
-
-let read_file path =
-  match open_in_bin path with
-  | ic ->
-    let n = in_channel_length ic in
-    let s = really_input_string ic n in
-    close_in ic;
-    Some s
-  | exception Sys_error _ -> None
-
-let bench_drift_cmd baseline current tolerance =
-  match (read_file baseline, read_file current) with
-  | None, _ ->
-    Printf.eprintf "crane: cannot read baseline %s\n" baseline;
+let bench_drift_cmd baseline current =
+  match (Bench_result.read baseline, Bench_result.read current) with
+  | Error msg, _ | _, Error msg ->
+    Printf.eprintf "crane: cannot read %s\n" msg;
     2
-  | _, None ->
-    Printf.eprintf "crane: cannot read current %s\n" current;
-    2
-  | Some b, Some c -> (
-    match (drift_metric b, drift_metric c) with
-    | Some (kb, vb), Some (kc, vc) when kb = kc ->
-      let floor = vb *. (1.0 -. tolerance) in
-      if vc >= floor then begin
-        Printf.printf
-          "drift ok: %s %.3f vs baseline %.3f (floor %.3f, tolerance %.0f%%)\n"
-          kb vc vb floor (100. *. tolerance);
-        0
-      end
-      else begin
-        Printf.printf
-          "DRIFT: %s regressed to %.3f from baseline %.3f (floor %.3f, \
-           tolerance %.0f%%)\n"
-          kb vc vb floor (100. *. tolerance);
-        1
-      end
-    | _ ->
-      Printf.eprintf
-        "crane: cannot extract a comparable headline metric from %s and %s\n"
-        baseline current;
-      2)
+  | Ok b, Ok c -> (
+    match Bench_result.drift ~baseline:b ~current:c with
+    | Error msg ->
+      Printf.eprintf "crane: %s is not comparable with %s: %s\n" current baseline msg;
+      2
+    | Ok [] ->
+      Printf.printf "drift ok: %s, %d metrics within %.0f%% of %s\n" b.Bench_result.bench
+        (List.length (List.filter (fun m -> m.Bench_result.better <> None) b.Bench_result.metrics))
+        (100. *. Bench_result.drift_tolerance) baseline;
+      0
+    | Ok regressions ->
+      List.iter
+        (fun (r : Bench_result.regression) ->
+          Printf.printf "DRIFT: %s %s = %s, baseline %s, limit %s\n" b.Bench_result.bench
+            r.metric (Bench_result.number r.current) (Bench_result.number r.baseline)
+            (Bench_result.number r.limit))
+        regressions;
+      1)
 
 (* ---- cmdliner plumbing ---- *)
 
@@ -1986,83 +1549,26 @@ let list_arg =
   Arg.(value & flag & info [ "list" ] ~doc:"List built-in chaos scenarios and exit.")
 
 let quick_arg =
-  Arg.(value & flag & info [ "quick" ] ~doc:"Smaller workload for CI (96 requests per run).")
+  Arg.(value & flag
+       & info [ "quick" ]
+           ~doc:"Smaller workload for CI: 200 ms streams and 12 probe requests \
+                 instead of 1 s and 32 (batching), histories up to 2000 instead \
+                 of 8000 (recovery), 4 clients x 60 requests instead of 8 x 200 \
+                 (latency), 4000 requests instead of 8000 (reconfig), 1500 \
+                 instead of 3000 (readmix), 6 requests per client instead of 16 \
+                 (parallel).")
 
-let bench_out_arg =
-  Arg.(value & opt string "BENCH_batching.json"
-       & info [ "out"; "o" ] ~doc:"Benchmark JSON output file.")
-
-let check_arg =
-  Arg.(value & opt float 0.0
+let bench_check_arg =
+  Arg.(value & flag
        & info [ "check" ]
-           ~doc:"Exit nonzero unless every server's batched/unbatched speedup \
-                 reaches this factor and fixed-seed outputs are identical.")
-
-let bench_servers_arg =
-  Arg.(value & pos_all string []
-       & info [] ~docv:"SERVER" ~doc:"Servers to bench (default: all).")
+           ~doc:"Exit nonzero unless every gated metric meets its bound (the \
+                 gate column of the printed table).")
 
 let run_term = Term.(const run_cmd $ server_arg $ mode_arg $ clients_arg $ requests_arg $ seed_arg)
 let failover_term = Term.(const failover_cmd $ server_arg $ seed_arg)
 let servers_term = Term.(const servers_cmd $ const ())
 
 let chaos_term = Term.(const chaos_cmd $ scenario_arg $ seed_arg $ list_arg)
-
-let bench_term =
-  Term.(const bench_cmd $ quick_arg $ seed_arg $ bench_out_arg $ check_arg
-        $ bench_servers_arg)
-
-let recovery_out_arg =
-  Arg.(value & opt string "BENCH_recovery.json"
-       & info [ "out"; "o" ] ~doc:"Benchmark JSON output file.")
-
-let recovery_check_arg =
-  Arg.(value & flag
-       & info [ "check" ]
-           ~doc:"Exit nonzero unless the compacted peak log size is flat across \
-                 history lengths, beats the uncompacted peak, and the restarted \
-                 replica recovered through the snapshot path.")
-
-let bench_recovery_term =
-  Term.(const bench_recovery_cmd $ quick_arg $ seed_arg $ recovery_out_arg
-        $ recovery_check_arg)
-
-let reconfig_out_arg =
-  Arg.(value & opt string "BENCH_reconfig.json"
-       & info [ "out"; "o" ] ~doc:"Benchmark JSON output file.")
-
-let reconfig_check_arg =
-  Arg.(value & flag
-       & info [ "check" ]
-           ~doc:"Exit nonzero unless the replacement commits (epoch advances, \
-                 fresh replica joins), no request hard-fails, the client-visible \
-                 unavailability stays bounded, and a same-seed rerun is \
-                 byte-identical.")
-
-let bench_reconfig_term =
-  Term.(const bench_reconfig_cmd $ quick_arg $ seed_arg $ reconfig_out_arg
-        $ reconfig_check_arg)
-
-let readmix_out_arg =
-  Arg.(value & opt string "BENCH_readmix.json"
-       & info [ "out"; "o" ] ~doc:"Benchmark JSON output file.")
-
-let readmix_pct_arg =
-  Arg.(value & opt int 95
-       & info [ "read-pct" ] ~doc:"Percentage of requests issued as reads.")
-
-let readmix_check_arg =
-  Arg.(value & flag
-       & info [ "check" ]
-           ~doc:"Exit nonzero unless the fast path's commit-path offload \
-                 (completions per consensus entry) is at least 2x the \
-                 all-consensus baseline, both lease and backup reads were \
-                 served, no request hard-fails, and a same-seed rerun is \
-                 byte-identical.")
-
-let bench_readmix_term =
-  Term.(const bench_readmix_cmd $ quick_arg $ seed_arg $ readmix_pct_arg
-        $ readmix_out_arg $ readmix_check_arg)
 
 let trace_term =
   Term.(const trace_cmd $ server_arg $ mode_arg $ clients_arg $ requests_arg
@@ -2160,40 +1666,41 @@ let profile_term =
   Term.(const profile_cmd $ server_arg $ clients_arg $ requests_arg $ seed_arg
         $ whatif_arg $ profile_trace_out_arg)
 
-let latency_out_arg =
-  Arg.(value & opt string "BENCH_latency.json"
-       & info [ "out"; "o" ] ~doc:"Benchmark JSON output file.")
+(* Each driver's metric list carries its gate bounds; [--check] and the
+   printed table show them. *)
+let benches =
+  [ ( "batching",
+      "Measure batched vs. unbatched commit throughput, and probe every \
+       server for fixed-seed output equivalence.",
+      batching_bench );
+    ( "recovery",
+      "Measure straggler recovery time and peak resident log with \
+       compaction on vs. off.",
+      recovery_bench );
+    ( "latency",
+      "Decompose commit latency into critical-path stages per server and \
+       measure what-if deltas.",
+      latency_bench );
+    ( "reconfig",
+      "Measure client-visible unavailability while the killed primary is \
+       replaced through a live membership change.",
+      reconfig_bench );
+    ( "readmix",
+      "Measure commit-path offload of lease/bounded-stale reads vs. \
+       all-consensus reads on a 95/5 read/write mix.",
+      readmix_bench );
+    ( "parallel",
+      "Measure the commit-to-reply speedup of dependency-aware parallel \
+       delivery (worker pool on vs. off), with the byte-identity probe and \
+       the Crane-San schedule certifier.",
+      parallel_bench ) ]
 
-let latency_check_arg =
-  Arg.(value & flag
-       & info [ "check" ]
-           ~doc:"Exit nonzero unless every server decomposes >= 99% of committed \
-                 requests with no malformed span DAGs and the fsync2x what-if \
-                 moves end-to-end latency.")
-
-let bench_latency_term =
-  Term.(const bench_latency_cmd $ quick_arg $ seed_arg $ latency_out_arg
-        $ latency_check_arg $ bench_servers_arg)
-
-let parallel_out_arg =
-  Arg.(value & opt string "BENCH_parallel.json"
-       & info [ "out"; "o" ] ~doc:"Benchmark JSON output file.")
-
-let parallel_check_arg =
-  Arg.(value & opt (some float) None
-       & info [ "check" ] ~docv:"SPEEDUP"
-           ~doc:"Exit nonzero unless some app's execute-stage speedup at 4 \
-                 workers reaches this factor, fixed-seed outputs are identical \
-                 pool-on vs pool-off, and the certifier finds the pooled \
-                 schedule conflict-serializable with zero violations.")
-
-let parallel_apps_arg =
-  Arg.(value & pos_all string []
-       & info [] ~docv:"APP" ~doc:"Apps to bench: ledger, mysql, http (default: all).")
-
-let bench_parallel_term =
-  Term.(const bench_parallel_cmd $ quick_arg $ seed_arg $ parallel_out_arg
-        $ parallel_check_arg $ parallel_apps_arg)
+let bench_subcommand (bench, doc, run) =
+  let json = Printf.sprintf "BENCH_%s.json" bench in
+  let out = Arg.(value & opt string json & info [ "out"; "o" ] ~doc:"Result JSON file.") in
+  Cmd.v
+    (Cmd.info bench ~doc:(Printf.sprintf "%s Writes %s." doc json))
+    Term.(const (bench_main bench run) $ quick_arg $ seed_arg $ out $ bench_check_arg)
 
 let drift_baseline_arg =
   Arg.(required & pos 0 (some string) None
@@ -2203,14 +1710,7 @@ let drift_current_arg =
   Arg.(required & pos 1 (some string) None
        & info [] ~docv:"CURRENT" ~doc:"Freshly produced bench JSON.")
 
-let drift_tolerance_arg =
-  Arg.(value & opt float 0.2
-       & info [ "tolerance" ]
-           ~doc:"Allowed fractional regression of the headline metric (0.2 = 20%).")
-
-let bench_drift_term =
-  Term.(const bench_drift_cmd $ drift_baseline_arg $ drift_current_arg
-        $ drift_tolerance_arg)
+let bench_drift_term = Term.(const bench_drift_cmd $ drift_baseline_arg $ drift_current_arg)
 
 let cmds =
   [
@@ -2219,46 +1719,18 @@ let cmds =
     Cmd.v (Cmd.info "chaos" ~doc:"Run the deterministic fault-injection suite and check SMR invariants.") chaos_term;
     Cmd.v (Cmd.info "trace" ~doc:"Run a workload with the flight recorder on; export the trace and metrics.") trace_term;
     Cmd.group
-      (Cmd.info "bench" ~doc:"Benchmarks: commit batching, recovery/compaction.")
-      [ Cmd.v
-          (Cmd.info "batching"
-             ~doc:"Measure batched vs. unbatched commit throughput; write BENCH_batching.json.")
-          bench_term;
-        Cmd.v
-          (Cmd.info "recovery"
-             ~doc:"Measure straggler recovery time and peak resident log with \
-                   compaction on vs. off; write BENCH_recovery.json.")
-          bench_recovery_term;
-        Cmd.v
-          (Cmd.info "latency"
-             ~doc:"Decompose commit latency into critical-path stages per server \
-                   and measure what-if deltas; write BENCH_latency.json.")
-          bench_latency_term;
-        Cmd.v
-          (Cmd.info "reconfig"
-             ~doc:"Measure client-visible unavailability while the killed \
-                   primary is replaced through a live membership change; write \
-                   BENCH_reconfig.json.")
-          bench_reconfig_term;
-        Cmd.v
-          (Cmd.info "readmix"
-             ~doc:"Measure commit-path offload of lease/bounded-stale reads \
-                   vs all-consensus reads on a read-heavy mix; write \
-                   BENCH_readmix.json.")
-          bench_readmix_term;
-        Cmd.v
-          (Cmd.info "parallel"
-             ~doc:"Measure execute-stage speedup of dependency-aware parallel \
-                   delivery (worker pool on vs off) with the byte-identity \
-                   probe and the Crane-San schedule certifier; write \
-                   BENCH_parallel.json.")
-          bench_parallel_term;
-        Cmd.v
-          (Cmd.info "drift"
-             ~doc:"Compare a fresh bench JSON's headline metric against a \
-                   committed baseline; exit nonzero on regression beyond the \
-                   tolerance.")
-          bench_drift_term ];
+      (Cmd.info "bench"
+         ~doc:"Benchmarks: batching, recovery, latency, reconfig, readmix and \
+               parallel each write one result JSON; drift compares a result \
+               against a committed baseline.")
+      (List.map bench_subcommand benches
+      @ [ Cmd.v
+            (Cmd.info "drift"
+               ~doc:"Compare a bench result with a committed baseline: exit 1 \
+                     if a metric with a better direction moved more than 20% \
+                     the worse way, 2 if the two results ran different \
+                     configurations.")
+            bench_drift_term ]);
     Cmd.v
       (Cmd.info "profile"
          ~doc:"Commit critical-path profile: per-stage latency decomposition, \
