@@ -1462,6 +1462,53 @@ let parallel_bench ~quick ~seed =
     List.concat_map snd results
     @ [ Bench_result.higher "best_speedup" ~digits:2 ~unit:"x" ~bound:1.5 best ] )
 
+(* ---- bench engine: the event engine's work and host cost on one fixed
+   world.  The logical event counts are a pure function of the seed and
+   the engine's elision rules, so they are drift-checked; events per host
+   second and words allocated per event depend on the host and compiler,
+   so they are informational.  Both host figures cover the load phase
+   only (not the cluster's install and boot) and use logical events
+   (dispatched + elided) as the denominator, which elision does not
+   change. ---- *)
+
+let engine_bench ~quick ~seed =
+  let clients = 4 and requests = if quick then 2000 else 10000 in
+  Printf.printf "bench engine: full CRANE mysql, %d clients, %d requests...%!" clients requests;
+  let world () =
+    let server, port = server_of Mysql in
+    let request = request_of Mysql (Rng.create (seed + 1)) in
+    let cfg =
+      { Instance.default_config with mode = Instance.Full; service_port = port; paxos = fast_paxos }
+    in
+    let cluster = Cluster.create ~seed ~cfg ~server () in
+    Cluster.start cluster;
+    let eng = Cluster.engine cluster in
+    let logical () = Engine.dispatched eng + Engine.elided eng in
+    let events0 = logical () and cpu0 = Sys.time () and bytes0 = Gc.allocated_bytes () in
+    let target = Target.cluster cluster ~port in
+    let handle = Loadgen.run ~clients ~requests ~request target in
+    Loadgen.drive ~timeout:(Time.sec 3600) target handle;
+    let cpu = Sys.time () -. cpu0 and bytes = Gc.allocated_bytes () -. bytes0 in
+    Cluster.check_failures cluster;
+    let events = float (logical () - events0) in
+    let result = handle.Loadgen.collect () in
+    ( (Engine.dispatched eng, Engine.elided eng, result.Loadgen.latencies, result.Loadgen.errors),
+      events /. cpu, bytes /. float (Sys.word_size / 8) /. events )
+  in
+  let ((dispatched, elided, _, errors) as first), events_per_s, words_per_event = world () in
+  (* Same seed, fresh world: the counts the drift check compares must be
+     a pure function of the seed. *)
+  let second, _, _ = world () in
+  Printf.printf " %.2f M events/s, %.1f words/event\n" (events_per_s /. 1e6) words_per_event;
+  ( [ ("clients", clients); ("requests", requests) ],
+    Bench_result.
+      [ lower "dispatched" (float dispatched);
+        higher "elided" (float elided);
+        info "events_per_s" ~digits:0 ~unit:"events/s" events_per_s;
+        info "words_per_event" ~digits:1 ~unit:"words/event" words_per_event;
+        lower "errors" ~bound:0.0 (float errors);
+        flag "rerun_identical" (first = second) ] )
+
 (* ---- bench: one runner for every driver above.  A driver returns its
    workload sizes and metrics; the runner adds the seed and quick to the
    configuration, writes the JSON, prints the table and applies the
@@ -1556,7 +1603,7 @@ let quick_arg =
                  of 8000 (recovery), 4 clients x 60 requests instead of 8 x 200 \
                  (latency), 4000 requests instead of 8000 (reconfig), 1500 \
                  instead of 3000 (readmix), 6 requests per client instead of 16 \
-                 (parallel).")
+                 (parallel), 2000 requests instead of 10000 (engine).")
 
 let bench_check_arg =
   Arg.(value & flag
@@ -1693,7 +1740,12 @@ let benches =
       "Measure the commit-to-reply speedup of dependency-aware parallel \
        delivery (worker pool on vs. off), with the byte-identity probe and \
        the Crane-San schedule certifier.",
-      parallel_bench ) ]
+      parallel_bench );
+    ( "engine",
+      "Measure the event engine's logical event counts (dispatched and \
+       elided), events per host second and words allocated per event on \
+       one fixed full-CRANE MySQL world.",
+      engine_bench ) ]
 
 let bench_subcommand (bench, doc, run) =
   let json = Printf.sprintf "BENCH_%s.json" bench in

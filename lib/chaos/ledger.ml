@@ -25,6 +25,17 @@ let server : Api.server =
         let ids = ref [] in
         (* newest first *)
         let count = ref 0 in
+        (* The rendered ledger, oldest first: GETs, fast reads and
+           [state_of] share it until the next PUT or [load_state]. *)
+        let rendered = ref (Some "") in
+        let snapshot () =
+          match !rendered with
+          | Some s -> s
+          | None ->
+            let s = String.concat "," (List.rev !ids) in
+            rendered := Some s;
+            s
+        in
         let stopped = ref false in
         (* Reader-writer lock, not a mutex: GETs only read the list, and
            a mutex would serialize (and order) concurrent GET commands
@@ -45,6 +56,7 @@ let server : Api.server =
                       | [ "PUT"; id ] ->
                         R.wrlock mu;
                         ids := id :: !ids;
+                        rendered := None;
                         incr count;
                         R.rwunlock mu;
                         R.send c (Printf.sprintf "OK %s\n" id)
@@ -52,7 +64,7 @@ let server : Api.server =
                         (* Consensus-path read: the all-consensus baseline
                            and the fast path's REJECT/fallback route. *)
                         R.rdlock mu;
-                        let snapshot = String.concat "," (List.rev !ids) in
+                        let snapshot = snapshot () in
                         R.rwunlock mu;
                         R.send c (Printf.sprintf "IDS %s\n" snapshot)
                       | _ -> R.send c "ERR\n");
@@ -65,18 +77,19 @@ let server : Api.server =
             done);
         {
           Api.server_name = "ledger";
-          state_of = (fun () -> String.concat "," (List.rev !ids));
+          state_of = snapshot;
           load_state =
             (fun s ->
               let l = if s = "" then [] else String.split_on_char ',' s in
               ids := List.rev l;
+              rendered := None;
               count := List.length l);
           mem_bytes = (fun () -> 1_000_000 + (16 * !count));
           stop = (fun () -> stopped := true);
           read =
             (fun line ->
               if String.trim line = "GET" then
-                Some (Printf.sprintf "IDS %s\n" (String.concat "," (List.rev !ids)))
+                Some (Printf.sprintf "IDS %s\n" (snapshot ()))
               else None);
           footprint =
             (fun line ->

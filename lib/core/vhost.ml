@@ -391,7 +391,7 @@ let gate t =
   | None -> ()
   | Some (Event.Time_bubble _) -> (
     match t.clocking with
-    | Clocked dmt when Dmt.run_queue_length dmt = 1 ->
+    | Clocked dmt when Dmt.alone dmt ->
       (* Only the idle thread is runnable.  Drain the bubble at a paced
          rate rather than instantly: a bubble must outlive the short
          quiet gaps between request arrivals (that is its whole job —

@@ -22,13 +22,17 @@ type lane = {
   mutable lsig : int; (* insertion point for signalled threads *)
 }
 
+(* Keyed by engine tid / sync-object id: a monomorphic table keeps
+   [me], called on every turn, off the polymorphic hash and compare. *)
+module Itbl = Hashtbl.Make (Int)
+
 type t = {
   eng : Engine.t;
   turn_cost : Time.t;
   idle_period : Time.t;
   lanes : lane array; (* lane 0 hosts the idle thread and fresh spawns *)
-  waitq : (int, dthread Queue.t) Hashtbl.t;
-  threads : (int, dthread) Hashtbl.t; (* engine tid -> dthread *)
+  waitq : dthread Queue.t Itbl.t;
+  threads : dthread Itbl.t; (* engine tid -> dthread *)
   mutable clock : int;
   mutable next_obj : int;
   mutable gate : (unit -> unit) option;
@@ -46,8 +50,18 @@ let set_label t node = t.label <- node
 let lane_count t = Array.length t.lanes
 let lane_of t th = t.lanes.(th.lane)
 
-let run_queue_length t =
-  Array.fold_left (fun acc l -> acc + List.length l.lq) 0 t.lanes
+(* Exactly one thread in all the run queues together, found without
+   walking them. *)
+let alone t =
+  let rec go i seen =
+    if i = Array.length t.lanes then seen
+    else
+      match t.lanes.(i).lq with
+      | [] -> go (i + 1) seen
+      | [ _ ] -> (not seen) && go (i + 1) true
+      | _ :: _ :: _ -> false
+  in
+  go 0 false
 
 let run_queue_names t =
   List.concat_map
@@ -59,11 +73,11 @@ let new_obj t =
   o
 
 let me t =
-  match Hashtbl.find_opt t.threads (Engine.self_tid t.eng) with
+  match Itbl.find_opt t.threads (Engine.self_tid t.eng) with
   | Some th -> th
   | None -> failwith "Dmt: calling thread is not registered with this scheduler"
 
-let is_thread t = Hashtbl.mem t.threads (Engine.self_tid t.eng)
+let is_thread t = Itbl.mem t.threads (Engine.self_tid t.eng)
 let current_lane t = if is_thread t then (me t).lane else 0
 
 (* Sanitizer hook: stream a "sync" event through the engine's recorder. *)
@@ -171,11 +185,11 @@ let leave_runq t th =
   wake_head t th.lane
 
 let waitq_of t obj =
-  match Hashtbl.find_opt t.waitq obj with
+  match Itbl.find_opt t.waitq obj with
   | Some q -> q
   | None ->
     let q = Queue.create () in
-    Hashtbl.add t.waitq obj q;
+    Itbl.add t.waitq obj q;
     q
 
 let wait t ~obj =
@@ -202,7 +216,7 @@ let insert_at t lane pos th =
    cross-lane insert can land at the head of an idle lane, where nobody
    would ever rotate to it — wake it directly. *)
 let signal ?lane t ~obj =
-  match Hashtbl.find_opt t.waitq obj with
+  match Itbl.find_opt t.waitq obj with
   | None -> ()
   | Some q -> (
     match Queue.take_opt q with
@@ -245,7 +259,7 @@ let relane t ~lane =
   end
 
 let signal_all ?lane t ~obj =
-  match Hashtbl.find_opt t.waitq obj with
+  match Itbl.find_opt t.waitq obj with
   | None -> ()
   | Some q ->
     while not (Queue.is_empty q) do
@@ -253,7 +267,7 @@ let signal_all ?lane t ~obj =
     done
 
 let waiters t ~obj =
-  match Hashtbl.find_opt t.waitq obj with
+  match Itbl.find_opt t.waitq obj with
   | None -> 0
   | Some q -> Queue.length q
 
@@ -282,18 +296,18 @@ let spawn t ~name body =
           get_turn t;
           ev t "thread_exit" [];
           leave_runq t th;
-          Hashtbl.remove t.threads th.dtid
+          Itbl.remove t.threads th.dtid
         in
         match body () with () -> cleanup () | exception e -> cleanup (); raise e)
   in
   let parent_lane =
-    match Hashtbl.find_opt t.threads (Engine.self_tid t.eng) with
+    match Itbl.find_opt t.threads (Engine.self_tid t.eng) with
     | Some p -> p.lane
     | None -> 0
   in
   let th = { dtid = tid; dname = name; parked = None; lane = parent_lane } in
-  Hashtbl.replace t.threads tid th;
-  if Hashtbl.mem t.threads (Engine.self_tid t.eng) then begin
+  Itbl.replace t.threads tid th;
+  if Itbl.mem t.threads (Engine.self_tid t.eng) then begin
     (* Spawned from a registered DMT thread: schedule the insertion. *)
     get_turn t;
     let l = lane_of t th in
@@ -319,7 +333,7 @@ let idle_loop t =
       if t.stopped then leave_runq t th
       else begin
         run_gate t;
-        let alone = run_queue_length t = 1 in
+        let alone = alone t in
         put_turn t;
         if alone && t.gate = None then Engine.sleep t.eng t.idle_period;
         loop ()
@@ -338,8 +352,8 @@ let create ?(turn_cost = Time.ns 150) ?(idle_period = Time.us 10) ?(lanes = 1)
       turn_cost;
       idle_period;
       lanes = Array.init (max 1 lanes) (fun _ -> { lq = []; lsig = 1 });
-      waitq = Hashtbl.create 64;
-      threads = Hashtbl.create 64;
+      waitq = Itbl.create 64;
+      threads = Itbl.create 64;
       clock = 0;
       next_obj = 1;
       gate = None;

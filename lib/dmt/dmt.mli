@@ -122,7 +122,10 @@ val block_external : t -> (unit -> 'a) -> 'a
     run [f] (which may block on the engine), rejoin at the tail in
     completion order. *)
 
-val run_queue_length : t -> int
+val alone : t -> bool
+(** Exactly one thread is in the run queues, all lanes together: the
+    idle loop and the vhost gate ask it to see that nothing but the
+    caller can run.  O(lanes); does not walk the queues. *)
 
 val run_queue_names : t -> string list
 (** Names of run-queue members, head first (debugging and tests). *)

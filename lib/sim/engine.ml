@@ -7,7 +7,15 @@ type thread = { tid : int; name : string; tgroup : group option }
 type t = {
   mutable clock : Time.t;
   mutable seq : int;
+  (* Events due after the current instant, keyed by [(time, seq)]. *)
   events : (unit -> unit) Pheap.t;
+  (* The same-instant lane: a ring-buffer FIFO of events due at [clock],
+     in scheduling order ([lane_len] of them from [lane_head]).  A heap
+     event due at [clock] was pushed before the clock reached it, so it
+     runs before every lane event. *)
+  mutable lane : (unit -> unit) array;
+  mutable lane_head : int;
+  mutable lane_len : int;
   mutable current : thread option;
   mutable next_group : int;
   mutable next_tid : int;
@@ -37,6 +45,9 @@ let create () =
     clock = Time.zero;
     seq = 0;
     events = Pheap.create ();
+    lane = Array.make 64 ignore;
+    lane_head = 0;
+    lane_len = 0;
     current = None;
     next_group = 0;
     next_tid = 0;
@@ -90,15 +101,47 @@ let kill_group t g =
 
 let alive t = function None -> true | Some g -> group_alive t g
 
-let schedule t ?group time fn =
-  let time = if time < t.clock then t.clock else time in
+let lane_push t fn =
+  let cap = Array.length t.lane in
+  if t.lane_len = cap then begin
+    let lane = Array.make (2 * cap) ignore in
+    for i = 0 to cap - 1 do
+      lane.(i) <- t.lane.((t.lane_head + i) land (cap - 1))
+    done;
+    t.lane <- lane;
+    t.lane_head <- 0
+  end;
+  t.lane.((t.lane_head + t.lane_len) land (Array.length t.lane - 1)) <- fn;
+  t.lane_len <- t.lane_len + 1
+
+let lane_pop t =
+  let fn = t.lane.(t.lane_head) in
+  t.lane.(t.lane_head) <- ignore;
+  t.lane_head <- (t.lane_head + 1) land (Array.length t.lane - 1);
+  t.lane_len <- t.lane_len - 1;
+  fn
+
+let heap_push t time fn =
   let seq = t.seq in
   t.seq <- seq + 1;
+  Pheap.push t.events ~time ~seq fn
+
+(* Stop the clock at a [run]'s horizon.  The lane is empty unless the
+   horizon is already past (an [until] before now): then its events stay
+   due at the old instant, so they move to the heap in order, behind
+   every event queued there and ahead of everything scheduled later. *)
+let stop_clock t time =
+  while t.lane_len > 0 do
+    heap_push t t.clock (lane_pop t)
+  done;
+  t.clock <- time
+
+let schedule t ?group time fn =
   let fn = match group with
     | None -> fn
     | Some g -> fun () -> if group_alive t g then fn ()
   in
-  Pheap.push t.events ~time ~seq fn
+  if time <= t.clock then lane_push t fn else heap_push t time fn
 
 let at t ?group time fn = schedule t ?group time fn
 let after t ?group delay fn = schedule t ?group (t.clock + delay) fn
@@ -139,7 +182,8 @@ let schedule_resume t th k v =
    event still spends one unit of the budget, so [Limit_exceeded] trips
    after the same logical event as without elision. *)
 let can_elide t time n =
-  Pheap.min_time t.events > time && time <= t.until && t.budget >= n
+  t.lane_len = 0 && Pheap.min_time t.events > time && time <= t.until
+  && t.budget >= n
 
 let elide t n =
   t.budget <- t.budget - n;
@@ -234,14 +278,17 @@ let run ?until ?(limit = 200_000_000) t =
   t.until <- stop;
   t.budget <- limit;
   let rec loop () =
-    if not (Pheap.is_empty t.events) then begin
-      let time = Pheap.min_time t.events in
-      if time > stop then t.clock <- stop
+    if t.lane_len > 0 || not (Pheap.is_empty t.events) then begin
+      (* No heap event is due before the clock, so the heap goes first
+         exactly when its minimum is due now. *)
+      let from_heap = t.lane_len = 0 || Pheap.min_time t.events <= t.clock in
+      let time = if from_heap then Pheap.min_time t.events else t.clock in
+      if time > stop then stop_clock t stop
       else begin
         if t.budget <= 0 then raise Limit_exceeded;
         t.budget <- t.budget - 1;
         t.dispatched <- t.dispatched + 1;
-        let fn = Pheap.pop_value t.events in
+        let fn = if from_heap then Pheap.pop_value t.events else lane_pop t in
         t.clock <- time;
         fn ();
         loop ()
@@ -253,6 +300,6 @@ let run ?until ?(limit = 200_000_000) t =
       t.budget <- outer_budget)
 
 let failures t = t.failed
-let pending_events t = Pheap.length t.events
+let pending_events t = Pheap.length t.events + t.lane_len
 let dispatched t = t.dispatched
 let elided t = t.elided

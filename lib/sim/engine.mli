@@ -1,9 +1,12 @@
 (** Deterministic discrete-event engine with green threads.
 
-    The engine owns a single priority queue of events keyed by
-    [(virtual time, sequence number)], so execution order is a pure
-    function of the event insertion order: a whole distributed run is
-    reproducible from its seed.
+    Events run in [(virtual time, sequence number)] order, so execution
+    order is a pure function of the event insertion order: a whole
+    distributed run is reproducible from its seed.  Events due later wait
+    in a binary heap ({!Pheap}); events scheduled for the current instant
+    (wake-ups, spawns, zero delays) go to a FIFO lane that dispatches
+    after the heap's events due at the same instant, which is the order a
+    single queue would give.
 
     Simulated threads are OCaml 5 effect-based fibers.  A thread blocks by
     performing {!suspend}, which hands a one-shot [waker] to the caller;

@@ -1,8 +1,9 @@
 (** Mutable binary min-heap keyed by [(time, sequence-number)].
 
-    The event queue of the simulator.  The sequence number breaks ties
-    between events scheduled for the same virtual instant, making the run
-    order fully deterministic. *)
+    The engine's queue of events due after the current instant.  The
+    sequence number breaks ties between events scheduled for the same
+    virtual instant, making the run order fully deterministic.  Sifts
+    move only int keys and slot indices, never values. *)
 
 type 'a t
 

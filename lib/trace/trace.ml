@@ -66,7 +66,12 @@ let enabled t = t.enabled
 let set_enabled t on = if t != null then t.enabled <- on
 let length t = t.n
 let dropped t = t.dropped
-let add_sink t f = t.sinks <- t.sinks @ [ f ]
+(* [null] is shared by every untraced engine in the process: a sink on
+   it would be process-global state, and since [null] never emits it
+   would also never be called. *)
+let add_sink t f =
+  if t == null then invalid_arg "Trace.add_sink: the shared null recorder";
+  t.sinks <- t.sinks @ [ f ]
 
 let register_group t ~group ~node =
   if t.enabled then Hashtbl.replace t.groups group node

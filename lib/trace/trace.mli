@@ -48,7 +48,10 @@ val register_group : t -> group:int -> node:string -> unit
 
 val add_sink : t -> (ev -> unit) -> unit
 (** Attach a streaming consumer called on every emitted event (e.g.
-    {!Metrics.attach}). *)
+    {!Metrics.attach}).
+    @raise Invalid_argument on {!null}, which every untraced engine
+    shares and which never emits: attach sinks to a recorder from
+    {!create}. *)
 
 val emit : t -> ev -> unit
 

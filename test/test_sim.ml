@@ -66,6 +66,33 @@ let prop_pheap_sorted =
         ops;
       !ok && pheap_drain h = !model)
 
+(* Past two growths of the initial 16 entries, with pops interleaved so
+   that freed value slots are reused: every pop still returns the
+   model's minimum, with its own value. *)
+let test_pheap_growth_reuse () =
+  let h = Pheap.create () in
+  let model = ref [] and seq = ref 0 in
+  let push time =
+    Pheap.push h ~time ~seq:!seq (time, !seq, ());
+    model := List.sort compare ((time, !seq, ()) :: !model);
+    incr seq
+  in
+  let pop () =
+    match !model with
+    | [] -> assert false
+    | m :: rest ->
+      if Pheap.pop_value h <> m then Alcotest.fail "popped entry is not the minimum";
+      model := rest
+  in
+  for round = 0 to 49 do
+    push ((round * 7919) mod 23);
+    push ((round * 104729) mod 17);
+    if round mod 3 = 0 then pop ()
+  done;
+  Alcotest.(check bool) "grew past 64 entries" true (Pheap.length h > 64);
+  Alcotest.(check int) "length" (List.length !model) (Pheap.length h);
+  Alcotest.(check bool) "drains sorted" true (pheap_drain h = !model)
+
 (* ------------------------------------------------------------------ *)
 (* Rng *)
 
@@ -344,6 +371,233 @@ let prop_engine_deterministic =
     QCheck.small_nat
     (fun seed -> run_noise_trace seed = run_noise_trace seed)
 
+(* An [until] before now, with an event due at the current instant: it
+   stays behind the events queued at that instant before it and ahead of
+   those scheduled after it, as if it had been queued with them. *)
+let test_run_until_before_now () =
+  let eng = Engine.create () in
+  let order = ref [] in
+  let note s () = order := (s, Engine.now eng) :: !order in
+  Engine.at eng (Time.us 10) (note "a");
+  Engine.run ~until:(Time.us 10) eng;
+  Engine.at eng (Time.us 10) (note "b");
+  Engine.at eng (Time.us 12) (note "c");
+  Engine.run ~until:(Time.us 5) eng;
+  Alcotest.(check int) "clock moved back" (Time.us 5) (Engine.now eng);
+  Engine.at eng (Time.us 10) (note "d");
+  Engine.at eng (Time.us 7) (note "e");
+  Engine.at eng (Time.us 5) (note "f");
+  Engine.run eng;
+  Alcotest.(check (list (pair string int)))
+    "run order"
+    [ ("a", Time.us 10); ("f", Time.us 5); ("e", Time.us 7); ("b", Time.us 10);
+      ("d", Time.us 10); ("c", Time.us 12) ]
+    (List.rev !order)
+
+(* Random programs against a heap-only reference.  A program is a tree
+   of actions run by callbacks and threads; the engine interprets it
+   through its API, and [Reference] through a plain (time, seq)-ordered
+   map in which every logical event (callback, timer, spawn, resume) is
+   one dispatch.  Both run the same [run ~until ~limit] slices. *)
+type act =
+  | Log of int
+  | After of Time.t * Engine.group option * act list
+  | At of Time.t * Engine.group option * act list (* now + delta, may be < 0 *)
+  | Timer of Time.t * act list
+  | Cancel of int (* the k-th timer created, if it exists yet *)
+  | Spawn of Engine.group option * act list
+  | Sleep of Time.t (* threads only; ignored in callbacks *)
+  | Yield
+  | Kill of Engine.group
+
+type outcome = { log : (Time.t * int) list; slices : (bool * Time.t * int) list }
+
+module Reference = struct
+  module Key = struct
+    type t = int * int
+    let compare = compare
+  end
+
+  module Q = Map.Make (Key)
+
+  type t = {
+    mutable clock : Time.t;
+    mutable seq : int;
+    mutable q : (unit -> unit) Q.t;
+    mutable dead : Engine.group list;
+    mutable logical : int;
+    mutable last : Key.t;
+    mutable log : (Time.t * int) list;
+    mutable timers : bool ref list; (* newest first *)
+  }
+
+  let alive r = function None -> true | Some g -> not (List.mem g r.dead)
+
+  let schedule r ?group time fn =
+    let time = max time r.clock in
+    r.q <- Q.add (time, r.seq) (fun () -> if alive r group then fn ()) r.q;
+    r.seq <- r.seq + 1
+
+  let rec exec r ~thread a =
+    match a with
+    | Log id -> r.log <- (r.clock, id) :: r.log
+    | After (d, group, body) | At (d, group, body) ->
+      schedule r ?group (r.clock + d) (fun () -> List.iter (exec r ~thread:None) body)
+    | Timer (d, body) ->
+      let cancelled = ref false in
+      r.timers <- cancelled :: r.timers;
+      schedule r (r.clock + d) (fun () ->
+          if not !cancelled then List.iter (exec r ~thread:None) body)
+    | Cancel k ->
+      let n = List.length r.timers in
+      if k < n then List.nth r.timers (n - 1 - k) := true
+    | Spawn (g, body) ->
+      let group = match g with Some _ -> g | None -> Option.join thread in
+      schedule r r.clock (fun () -> if alive r group then thread_body r group body)
+    | Sleep _ | Yield -> () (* in a callback; threads take them below *)
+    | Kill g -> if not (List.mem g r.dead) then r.dead <- g :: r.dead
+
+  (* A thread's sleep: a timer event at the wake instant, then a resume
+     event queued behind everything already due there. *)
+  and thread_body r group = function
+    | [] -> ()
+    | ((Sleep _ | Yield) as a) :: rest ->
+      let d = match a with Sleep d -> max d 0 | _ -> 0 in
+      schedule r (r.clock + d) (fun () ->
+          if alive r group then
+            schedule r r.clock (fun () -> if alive r group then thread_body r group rest))
+    | a :: rest ->
+      exec r ~thread:(Some group) a;
+      thread_body r group rest
+
+  let run r ~until ~limit =
+    let rec loop budget =
+      match Q.min_binding_opt r.q with
+      | None -> ()
+      | Some (((time, _) as key), fn) ->
+        if time > until then r.clock <- until
+        else begin
+          if budget <= 0 then raise Engine.Limit_exceeded;
+          if compare key r.last <= 0 then failwith "reference keys not increasing";
+          r.last <- key;
+          r.q <- Q.remove key r.q;
+          r.logical <- r.logical + 1;
+          r.clock <- time;
+          fn ();
+          loop (budget - 1)
+        end
+    in
+    loop limit
+
+  let outcome prog slices =
+    let r =
+      { clock = 0; seq = 0; q = Q.empty; dead = []; logical = 0; last = (-1, -1);
+        log = []; timers = [] }
+    in
+    List.iter (exec r ~thread:None) prog;
+    let slices =
+      List.map
+        (fun (delta, limit) ->
+          let tripped =
+            match run r ~until:(r.clock + delta) ~limit with
+            | () -> false
+            | exception Engine.Limit_exceeded -> true
+          in
+          (tripped, r.clock, r.logical))
+        slices
+    in
+    { log = List.rev r.log; slices }
+end
+
+let engine_outcome prog slices =
+  let eng = Engine.create () in
+  for _ = 0 to 2 do ignore (Engine.new_group eng) done;
+  let log = ref [] and timers = ref [] in
+  let rec exec ~thread a =
+    match a with
+    | Log id -> log := (Engine.now eng, id) :: !log
+    | After (d, group, body) ->
+      Engine.after eng ?group d (fun () -> List.iter (exec ~thread:false) body)
+    | At (d, group, body) ->
+      Engine.at eng ?group (Engine.now eng + d) (fun () -> List.iter (exec ~thread:false) body)
+    | Timer (d, body) ->
+      timers := !timers @ [ Engine.timer eng d (fun () -> List.iter (exec ~thread:false) body) ]
+    | Cancel k -> Option.iter (fun cancel -> cancel ()) (List.nth_opt !timers k)
+    | Spawn (group, body) ->
+      Engine.spawn eng ?group ~name:"t" (fun () -> List.iter (exec ~thread:true) body)
+    | Sleep d -> if thread then Engine.sleep eng d
+    | Yield -> if thread then Engine.yield eng
+    | Kill g -> Engine.kill_group eng g
+  in
+  List.iter (exec ~thread:false) prog;
+  let slices =
+    List.map
+      (fun (delta, limit) ->
+        let tripped =
+          match Engine.run ~until:(Engine.now eng + delta) ~limit eng with
+          | () -> false
+          | exception Engine.Limit_exceeded -> true
+        in
+        (tripped, Engine.now eng, Engine.dispatched eng + Engine.elided eng))
+      slices
+  in
+  check_no_failures eng;
+  { log = List.rev !log; slices }
+
+let gen_program =
+  let open QCheck.Gen in
+  let delay = int_range 0 5 and group = opt (int_range 0 2) in
+  let leaf =
+    [ (3, return (Log 0)); (3, map (fun d -> Sleep d) delay); (2, return Yield);
+      (1, map (fun g -> Kill g) (int_range 0 2)); (1, map (fun k -> Cancel k) (int_range 0 3)) ]
+  in
+  let rec acts depth = list_size (int_range 0 4) (act depth)
+  and act depth =
+    if depth = 0 then frequency leaf
+    else
+      let body = acts (depth - 1) in
+      frequency
+        (leaf
+        @ [ (2, map3 (fun d g b -> After (d, g, b)) delay group body);
+            (1, map3 (fun d g b -> At (d, g, b)) (int_range (-2) 5) group body);
+            (1, map2 (fun d b -> Timer (d, b)) delay body);
+            (3, map2 (fun g b -> Spawn (g, b)) group body) ])
+  in
+  (* Number the logs so that each names one program point. *)
+  let next = ref 0 in
+  let rec number = function
+    | Log _ -> incr next; Log !next
+    | After (d, g, b) -> After (d, g, List.map number b)
+    | At (d, g, b) -> At (d, g, List.map number b)
+    | Timer (d, b) -> Timer (d, List.map number b)
+    | Spawn (g, b) -> Spawn (g, List.map number b)
+    | (Cancel _ | Sleep _ | Yield | Kill _) as a -> a
+  in
+  let slices = list_size (int_range 1 6) (pair (int_range 0 12) (int_range 0 25)) in
+  map2 (fun prog slices -> next := 0; (List.map number prog, slices)) (acts 3) slices
+
+let rec show_act = function
+  | Log id -> Printf.sprintf "log%d" id
+  | After (d, g, b) -> Printf.sprintf "after(%d,%s,%s)" d (show_group g) (show_acts b)
+  | At (d, g, b) -> Printf.sprintf "at(%+d,%s,%s)" d (show_group g) (show_acts b)
+  | Timer (d, b) -> Printf.sprintf "timer(%d,%s)" d (show_acts b)
+  | Cancel k -> Printf.sprintf "cancel%d" k
+  | Spawn (g, b) -> Printf.sprintf "spawn(%s,%s)" (show_group g) (show_acts b)
+  | Sleep d -> Printf.sprintf "sleep%d" d
+  | Yield -> "yield"
+  | Kill g -> Printf.sprintf "kill%d" g
+
+and show_group = function None -> "-" | Some g -> string_of_int g
+and show_acts b = "[" ^ String.concat ";" (List.map show_act b) ^ "]"
+
+let prop_engine_matches_reference =
+  QCheck.Test.make ~name:"engine order, counts and limit match a heap-only reference"
+    ~count:500
+    (QCheck.make gen_program ~print:(fun (prog, slices) ->
+         show_acts prog ^ " slices "
+         ^ String.concat " " (List.map (fun (d, l) -> Printf.sprintf "%d/%d" d l) slices)))
+    (fun (prog, slices) -> engine_outcome prog slices = Reference.outcome prog slices)
+
 (* ------------------------------------------------------------------ *)
 (* Cores *)
 
@@ -395,6 +649,7 @@ let suite =
       [
         Alcotest.test_case "ordering" `Quick test_pheap_order;
         qcheck prop_pheap_sorted;
+        Alcotest.test_case "growth reuses slots" `Quick test_pheap_growth_reuse;
       ] );
     ( "sim.rng",
       [
@@ -422,6 +677,8 @@ let suite =
         Alcotest.test_case "sleep after self-kill" `Quick test_sleep_after_self_kill;
         Alcotest.test_case "deterministic replay" `Quick test_deterministic_replay;
         qcheck prop_engine_deterministic;
+        Alcotest.test_case "run until before now" `Quick test_run_until_before_now;
+        qcheck prop_engine_matches_reference;
       ] );
     ( "sim.cores",
       [

@@ -152,6 +152,16 @@ let test_limit_and_streaming () =
   Alcotest.(check int) "non-retaining keeps nothing" 0 (Trace.length tr2);
   Alcotest.(check int) "metrics counted via sink" 7 (Metrics.counter_value met "c.n")
 
+(* [null] is the recorder every untraced engine shares: a sink on it
+   would leak across worlds, so attaching one is refused. *)
+let test_null_refuses_sinks () =
+  Alcotest.check_raises "add_sink on null"
+    (Invalid_argument "Trace.add_sink: the shared null recorder") (fun () ->
+      Trace.add_sink Trace.null (fun _ -> ()));
+  Alcotest.check_raises "Metrics.attach on an untraced engine's recorder"
+    (Invalid_argument "Trace.add_sink: the shared null recorder") (fun () ->
+      Metrics.attach (Metrics.create ()) (Engine.trace (Engine.create ())))
+
 let suite =
   [
     ( "trace",
@@ -164,5 +174,6 @@ let suite =
           test_disabled_sink_records_nothing;
         Alcotest.test_case "toggling" `Quick test_toggling;
         Alcotest.test_case "limit and streaming" `Quick test_limit_and_streaming;
+        Alcotest.test_case "null refuses sinks" `Quick test_null_refuses_sinks;
       ] );
   ]
