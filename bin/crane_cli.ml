@@ -1469,7 +1469,9 @@ let parallel_bench ~quick ~seed =
    so they are informational.  Both host figures cover the load phase
    only (not the cluster's install and boot) and use logical events
    (dispatched + elided) as the denominator, which elision does not
-   change. ---- *)
+   change.  [live_conns], the connection ids the socket layer still
+   tracks once the load is done, is gated at two per client: a closed
+   connection that is never forgotten fails the check. ---- *)
 
 let engine_bench ~quick ~seed =
   let clients = 4 and requests = if quick then 2000 else 10000 in
@@ -1489,13 +1491,14 @@ let engine_bench ~quick ~seed =
     let handle = Loadgen.run ~clients ~requests ~request target in
     Loadgen.drive ~timeout:(Time.sec 3600) target handle;
     let cpu = Sys.time () -. cpu0 and bytes = Gc.allocated_bytes () -. bytes0 in
+    let live = Sock.live_connections (Cluster.world cluster) in
     Cluster.check_failures cluster;
     let events = float (logical () - events0) in
     let result = handle.Loadgen.collect () in
-    ( (Engine.dispatched eng, Engine.elided eng, result.Loadgen.latencies, result.Loadgen.errors),
+    ( (Engine.dispatched eng, Engine.elided eng, live, result.Loadgen.latencies, result.Loadgen.errors),
       events /. cpu, bytes /. float (Sys.word_size / 8) /. events )
   in
-  let ((dispatched, elided, _, errors) as first), events_per_s, words_per_event = world () in
+  let ((dispatched, elided, live, _, errors) as first), events_per_s, words_per_event = world () in
   (* Same seed, fresh world: the counts the drift check compares must be
      a pure function of the seed. *)
   let second, _, _ = world () in
@@ -1504,6 +1507,7 @@ let engine_bench ~quick ~seed =
     Bench_result.
       [ lower "dispatched" (float dispatched);
         higher "elided" (float elided);
+        lower "live_conns" ~bound:(float (2 * clients)) (float live);
         info "events_per_s" ~digits:0 ~unit:"events/s" events_per_s;
         info "words_per_event" ~digits:1 ~unit:"words/event" words_per_event;
         lower "errors" ~bound:0.0 (float errors);

@@ -251,7 +251,10 @@ let client_rx_loop t conn =
     let data = Sock.recv conn ~max:65536 in
     if data = "" then begin
       Hashtbl.remove t.client_conns id;
-      ignore (submit t (Event.Close { conn = id }))
+      ignore (submit t (Event.Close { conn = id }));
+      (* The client's EOF is in: closing sends nothing and lets the
+         transport forget the connection. *)
+      Sock.close conn
     end
     else if submit t (Event.Send { conn = id; payload = data }) then loop ()
     else begin

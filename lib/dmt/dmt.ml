@@ -18,9 +18,53 @@ type dthread = {
    placement: admission (in the vhost) never lets two conflicting
    commands execute concurrently, whatever their lanes. *)
 type lane = {
-  mutable lq : dthread list; (* head = turn holder of this lane *)
+  (* A ring buffer whose capacity is a power of two; the thread at [hd]
+     holds the lane's turn.  Rotating the head to the tail, removing it
+     and appending are O(1); inserting at [lsig] shifts only the threads
+     in front of that position. *)
+  mutable ring : dthread array;
+  mutable hd : int;
+  mutable len : int;
   mutable lsig : int; (* insertion point for signalled threads *)
 }
+
+let nobody = { dtid = -1; dname = ""; parked = None; lane = 0 }
+let new_lane () = { ring = Array.make 8 nobody; hd = 0; len = 0; lsig = 1 }
+let slot l i = (l.hd + i) land (Array.length l.ring - 1)
+let nth l i = l.ring.(slot l i)
+
+let make_room l =
+  if l.len = Array.length l.ring then begin
+    l.ring <- Array.init (2 * l.len) (fun i -> if i < l.len then nth l i else nobody);
+    l.hd <- 0
+  end
+
+let push_back l th =
+  make_room l;
+  l.ring.(slot l l.len) <- th;
+  l.len <- l.len + 1
+
+let pop_front l =
+  l.ring.(l.hd) <- nobody;
+  l.hd <- slot l 1;
+  l.len <- l.len - 1
+
+(* Insert [th] so that [pos] threads precede it, or at the tail when the
+   lane is shorter: the head moves back one slot and the [pos] threads
+   in front shift into it.  A signalled thread goes in at [lsig], just
+   behind the head and the threads signalled before it, so it takes the
+   turn right after the signaller. *)
+let insert l pos th =
+  if pos >= l.len then push_back l th
+  else begin
+    make_room l;
+    l.hd <- slot l (-1);
+    l.len <- l.len + 1;
+    for i = 0 to pos - 1 do
+      l.ring.(slot l i) <- nth l (i + 1)
+    done;
+    l.ring.(slot l pos) <- th
+  end
 
 (* Keyed by engine tid / sync-object id: a monomorphic table keeps
    [me], called on every turn, off the polymorphic hash and compare. *)
@@ -56,16 +100,16 @@ let alone t =
   let rec go i seen =
     if i = Array.length t.lanes then seen
     else
-      match t.lanes.(i).lq with
-      | [] -> go (i + 1) seen
-      | [ _ ] -> (not seen) && go (i + 1) true
-      | _ :: _ :: _ -> false
+      match t.lanes.(i).len with
+      | 0 -> go (i + 1) seen
+      | 1 -> (not seen) && go (i + 1) true
+      | _ -> false
   in
   go 0 false
 
 let run_queue_names t =
   List.concat_map
-    (fun l -> List.map (fun th -> th.dname) l.lq)
+    (fun l -> List.init l.len (fun i -> (nth l i).dname))
     (Array.to_list t.lanes)
 let new_obj t =
   let o = t.next_obj in
@@ -90,18 +134,20 @@ let ev t name args =
 let obj_args ~id ~kind ~label =
   [ ("obj", Trace.Int id); ("kind", Trace.Str kind); ("label", Trace.Str label) ]
 
-let is_head t th = match (lane_of t th).lq with h :: _ -> h == th | [] -> false
+let is_head t th =
+  let l = lane_of t th in
+  l.len > 0 && nth l 0 == th
 
 (* Wake a lane's head if it is parked waiting for the turn. *)
 let wake_head t lane =
-  match t.lanes.(lane).lq with
-  | [] -> ()
-  | h :: _ -> (
+  let l = t.lanes.(lane) in
+  if l.len > 0 then
+    let h = nth l 0 in
     match h.parked with
     | Some wake ->
       h.parked <- None;
       ignore (wake ())
-    | None -> ())
+    | None -> ()
 
 (* Parking is where PARROT's serialization cost lives: the span from
    park to resumption is the round-robin turn wait the paper's overhead
@@ -113,7 +159,7 @@ let park t th =
   if traced then
     Trace.span_begin tr ~ts:(Engine.now t.eng) ~tid:th.dtid ~node:t.label
       ~cat:"dmt" ~name:"turn_wait"
-      [ ("runq", Trace.Int (List.length (lane_of t th).lq)) ];
+      [ ("runq", Trace.Int (lane_of t th).len) ];
   Engine.suspend t.eng (fun wake -> th.parked <- Some wake);
   if traced then
     Trace.span_end tr ~ts:(Engine.now t.eng) ~tid:th.dtid ~node:t.label
@@ -161,9 +207,11 @@ let advance_clock t n =
 
 let rotate t lane =
   let l = t.lanes.(lane) in
-  match l.lq with
-  | [] -> ()
-  | h :: rest -> l.lq <- rest @ [ h ]
+  if l.len > 0 then begin
+    let h = nth l 0 in
+    pop_front l;
+    push_back l h
+  end
 
 let put_turn t =
   let th = me t in
@@ -179,7 +227,7 @@ let put_turn t =
 let leave_runq t th =
   assert (is_head t th);
   let l = lane_of t th in
-  l.lq <- List.tl l.lq;
+  pop_front l;
   l.lsig <- 1;
   tick t;
   wake_head t th.lane
@@ -197,18 +245,6 @@ let wait t ~obj =
   Queue.add th (waitq_of t obj);
   leave_runq t th;
   park t th
-
-(* Insert a signalled thread just behind a lane's head (and behind
-   previously signalled ones), so it takes the turn right after the
-   signaller. *)
-let insert_at t lane pos th =
-  let l = t.lanes.(lane) in
-  let rec go i = function
-    | rest when i = pos -> th :: rest
-    | x :: rest -> x :: go (i + 1) rest
-    | [] -> [ th ]
-  in
-  l.lq <- go 0 l.lq
 
 (* [?lane] re-lanes the woken waiter: the dependency-aware gate signals a
    worker into the lane of its command's conflict footprint.  Without it,
@@ -229,7 +265,7 @@ let signal ?lane t ~obj =
       in
       th.lane <- target;
       let l = t.lanes.(target) in
-      insert_at t target l.lsig th;
+      insert l l.lsig th;
       l.lsig <- l.lsig + 1;
       if is_head t th then (
         match th.parked with
@@ -253,7 +289,7 @@ let relane t ~lane =
     let l = t.lanes.(target) in
     leave_runq t th;
     th.lane <- target;
-    insert_at t target l.lsig th;
+    insert l l.lsig th;
     l.lsig <- l.lsig + 1;
     if not (is_head t th) then park t th
   end
@@ -279,7 +315,7 @@ let block_external t f =
   (* Rejoin in completion order: this is where network-arrival
      nondeterminism re-enters a plain PARROT execution. *)
   let l = lane_of t th in
-  l.lq <- l.lq @ [ th ];
+  push_back l th;
   if is_head t th then () (* we are running already; just continue *);
   result
 
@@ -311,12 +347,12 @@ let spawn t ~name body =
     (* Spawned from a registered DMT thread: schedule the insertion. *)
     get_turn t;
     let l = lane_of t th in
-    l.lq <- l.lq @ [ th ];
+    push_back l th;
     put_turn t
   end
   else begin
     let l = lane_of t th in
-    l.lq <- l.lq @ [ th ]
+    push_back l th
   end
 
 let run_gate t = match t.gate with Some g -> g () | None -> ()
@@ -351,7 +387,7 @@ let create ?(turn_cost = Time.ns 150) ?(idle_period = Time.us 10) ?(lanes = 1)
       eng;
       turn_cost;
       idle_period;
-      lanes = Array.init (max 1 lanes) (fun _ -> { lq = []; lsig = 1 });
+      lanes = Array.init (max 1 lanes) (fun _ -> new_lane ());
       waitq = Itbl.create 64;
       threads = Itbl.create 64;
       clock = 0;
@@ -569,8 +605,8 @@ module Soft_barrier = struct
     List.iter
       (fun th ->
         let l = lane_of t th in
-        let was_empty = l.lq = [] in
-        l.lq <- l.lq @ [ th ];
+        let was_empty = l.len = 0 in
+        push_back l th;
         if was_empty then wake_head t th.lane)
       batch
 

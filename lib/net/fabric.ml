@@ -11,38 +11,68 @@ let endpoint_pp fmt e = Format.fprintf fmt "%s:%d" e.node e.port
 
 type message = ..
 
+type handler = src:endpoint -> message -> unit
+
+(* A node's up/down state.  [Unseen] reads as down, like [Down], but the
+   first send from it brings it up; a [node_down]'d node stays down. *)
+type status = Unseen | Up | Down
+
+(* One record per node name, created on first sight and kept for the
+   fabric's lifetime.  [ports] holds the bound handlers: a node binds a
+   port or two, so a list beats a table. *)
+type node_rec = {
+  name : node;
+  nid : int;
+  mutable status : status;
+  mutable ports : (int * handler) list;
+}
+
+(* One record per directed link, keyed by [link_key].  Jitter/loss draws
+   come from the link's own stream, seeded from [link_seed] and the two
+   names, not from one shared stream: with a shared stream, a change in
+   the {e number} of messages on one link (e.g. batching collapsing N
+   Accepts into one) would shift every later draw and perturb latencies
+   on unrelated links, breaking fixed-seed comparisons across
+   configurations.  The seed never depends on creation order. *)
+type link = {
+  lsrc : node_rec;
+  ldst : node_rec;
+  lrng : Rng.t;
+  (* FIFO guarantee: never schedule a delivery on a link earlier than the
+     previous one. *)
+  mutable last_delivery : Time.t;
+}
+
 (* A send parked in the controlled fabric, waiting for the scheduler to
    deliver it.  Ids are assigned in send order, so the FIFO head of a
    link is its pending message with the smallest id. *)
 type ctl_msg = {
   cm_id : int;
+  cm_link : link;
   cm_src : endpoint;
   cm_dst : endpoint;
   cm_msg : message;
   cm_ready : Time.t;
 }
 
+module Names = Hashtbl.Make (struct
+  type t = string
+
+  let equal = String.equal
+  let hash = Hashtbl.hash
+end)
+
+module Itbl = Hashtbl.Make (Int)
+
 type t = {
   eng : Engine.t;
-  rng : Rng.t;
-  (* Jitter/loss draws come from a per-link stream derived from
-     [link_seed], not from the shared [rng]: with one shared stream, a
-     change in the {e number} of messages on one link (e.g. batching
-     collapsing N Accepts into one) would shift every later draw and
-     perturb latencies on unrelated links, breaking fixed-seed
-     comparisons across configurations.  The per-link seed depends only
-     on (seed, src, dst), never on creation order. *)
   link_seed : int;
-  link_rngs : (node * node, Rng.t) Hashtbl.t;
+  nodes : node_rec Names.t;
+  links : link Itbl.t;
   mutable base : Time.t;
   mutable jitter : Time.t;
   mutable byte_cost : Time.t;
   mutable loss : float;
-  up : (node, bool) Hashtbl.t;
-  handlers : (node * int, src:endpoint -> message -> unit) Hashtbl.t;
-  (* FIFO guarantee: never schedule a delivery on a link earlier than the
-     previous one. *)
-  last_delivery : (node * node, Time.t) Hashtbl.t;
   (* A partition blocks [src] -> [dst]; symmetric ones block the reverse
      direction too. *)
   mutable partitions : (node list * node list * bool) list;
@@ -51,27 +81,28 @@ type t = {
   (* Controlled-mode state (Crane-MC); only touched when the engine
      carries a scheduler. *)
   mutable ctl_next_id : int;
-  ctl_pending : (int, ctl_msg) Hashtbl.t;
+  ctl_pending : ctl_msg Itbl.t;
 }
+
+(* A connection's resolved path: the names are looked up once, when the
+   route is made, so sending on it hashes nothing. *)
+type route = { rfab : t; rlink : link; rsrc : endpoint; rdst : endpoint }
 
 let create eng rng =
   {
     eng;
     link_seed = Int64.to_int (Rng.next rng);
-    rng;
-    link_rngs = Hashtbl.create 64;
+    nodes = Names.create 64;
+    links = Itbl.create 64;
     base = Time.us 40;
     jitter = Time.us 20;
     byte_cost = 8 (* ns/byte: 1 Gbps wire *);
     loss = 0.0;
-    up = Hashtbl.create 16;
-    handlers = Hashtbl.create 64;
-    last_delivery = Hashtbl.create 64;
     partitions = [];
     delivered = 0;
     dropped = 0;
     ctl_next_id = 0;
-    ctl_pending = Hashtbl.create 64;
+    ctl_pending = Itbl.create 64;
   }
 
 let engine t = t.eng
@@ -82,9 +113,23 @@ let set_latency t ~base ~jitter =
 
 let set_loss t loss = t.loss <- loss
 let set_byte_cost t c = t.byte_cost <- c
-let node_up t n = Hashtbl.replace t.up n true
-let node_down t n = Hashtbl.replace t.up n false
-let is_up t n = match Hashtbl.find_opt t.up n with Some b -> b | None -> false
+
+let intern t n =
+  match Names.find_opt t.nodes n with
+  | Some r -> r
+  | None ->
+    let r =
+      { name = n; nid = Names.length t.nodes; status = Unseen; ports = [] }
+    in
+    Names.add t.nodes n r;
+    r
+
+let node_up t n = (intern t n).status <- Up
+let node_down t n = (intern t n).status <- Down
+let up r = r.status = Up
+
+let is_up t n =
+  match Names.find_opt t.nodes n with Some r -> up r | None -> false
 
 let partition t a b = t.partitions <- (a, b, true) :: t.partitions
 let partition_oneway t ~from ~to_ = t.partitions <- (from, to_, false) :: t.partitions
@@ -97,20 +142,43 @@ let partitioned t a b =
   in
   List.exists blocks t.partitions
 
+let without port ports = List.filter (fun (p, _) -> p <> port) ports
+
 let bind t ep handler =
-  node_up t ep.node;
-  Hashtbl.replace t.handlers (ep.node, ep.port) handler
+  let r = intern t ep.node in
+  r.status <- Up;
+  r.ports <- (ep.port, handler) :: without ep.port r.ports
 
-let unbind t ep = Hashtbl.remove t.handlers (ep.node, ep.port)
+let unbind t ep =
+  match Names.find_opt t.nodes ep.node with
+  | Some r -> r.ports <- without ep.port r.ports
+  | None -> ()
 
-let link_rng t link =
-  match Hashtbl.find_opt t.link_rngs link with
-  | Some r -> r
+let rec handler_of port = function
+  | [] -> None
+  | (p, h) :: rest -> if p = port then Some h else handler_of port rest
+
+(* Node ids are dense from 0, so two of them pack into one int key. *)
+let link_key s d = (s.nid lsl 31) lor d.nid
+
+let link t s d =
+  let key = link_key s d in
+  match Itbl.find_opt t.links key with
+  | Some l -> l
   | None ->
-    let src, dst = link in
-    let r = Rng.create (Hashtbl.hash (t.link_seed, src, dst)) in
-    Hashtbl.replace t.link_rngs link r;
-    r
+    let l =
+      {
+        lsrc = s;
+        ldst = d;
+        lrng = Rng.create (Hashtbl.hash (t.link_seed, s.name, d.name));
+        last_delivery = min_int;
+      }
+    in
+    Itbl.add t.links key l;
+    l
+
+let route t ~src ~dst =
+  { rfab = t; rlink = link t (intern t src.node) (intern t dst.node); rsrc = src; rdst = dst }
 
 let sample_delay t rng =
   let j = if t.jitter > 0 then Rng.int rng t.jitter else 0 in
@@ -157,16 +225,16 @@ let ctl_key m =
    how the enumerator slides a message past a timer deadline. *)
 let ctl_eligible t =
   let now = Engine.now t.eng in
-  let heads = Hashtbl.create 16 in
-  Hashtbl.iter
+  let heads = Itbl.create 16 in
+  Itbl.iter
     (fun _ m ->
-      let link = (m.cm_src.node, m.cm_dst.node) in
-      match Hashtbl.find_opt heads link with
+      let key = link_key m.cm_link.lsrc m.cm_link.ldst in
+      match Itbl.find_opt heads key with
       | Some m' when m'.cm_id < m.cm_id -> ()
-      | _ -> Hashtbl.replace heads link m)
+      | _ -> Itbl.replace heads key m)
     t.ctl_pending;
   let elig =
-    Hashtbl.fold
+    Itbl.fold
       (fun _ m acc -> if m.cm_ready <= now then m :: acc else acc)
       heads []
   in
@@ -181,10 +249,11 @@ let ctl_pump t sched =
       let arr = Array.of_list elig in
       let keys = Array.map ctl_key arr in
       let m = arr.(Sched.choose sched ~label:"net.deliver" ~keys) in
-      Hashtbl.remove t.ctl_pending m.cm_id;
+      Itbl.remove t.ctl_pending m.cm_id;
       let src = m.cm_src and dst = m.cm_dst in
+      let d = m.cm_link.ldst in
       if
-        (not (is_up t src.node && is_up t dst.node))
+        (not (up m.cm_link.lsrc && up d))
         || partitioned t src.node dst.node
       then note_drop t ~src ~dst ~reason:"partitioned"
       else begin
@@ -195,7 +264,7 @@ let ctl_pump t sched =
         in
         if fate = 1 then note_drop t ~src ~dst ~reason:"mc_drop"
         else
-          match Hashtbl.find_opt t.handlers (dst.node, dst.port) with
+          match handler_of dst.port d.ports with
           | Some handler ->
             t.delivered <- t.delivered + 1;
             sched.Sched.on_deliver ~id:m.cm_id ~src:src.node ~dst:dst.node;
@@ -211,8 +280,8 @@ let ctl_pump t sched =
   in
   loop ()
 
-let ctl_send ~bytes t sched ~src ~dst msg =
-  if not (is_up t src.node) then note_drop t ~src ~dst ~reason:"src_down"
+let ctl_send ~bytes t sched l ~src ~dst msg =
+  if not (up l.lsrc) then note_drop t ~src ~dst ~reason:"src_down"
   else begin
     let id = t.ctl_next_id in
     t.ctl_next_id <- id + 1;
@@ -232,42 +301,52 @@ let ctl_send ~bytes t sched ~src ~dst msg =
     let ready =
       Engine.now t.eng + (mult * sched.Sched.base) + (bytes * t.byte_cost)
     in
-    Hashtbl.replace t.ctl_pending id
-      { cm_id = id; cm_src = src; cm_dst = dst; cm_msg = msg; cm_ready = ready };
+    Itbl.replace t.ctl_pending id
+      {
+        cm_id = id;
+        cm_link = l;
+        cm_src = src;
+        cm_dst = dst;
+        cm_msg = msg;
+        cm_ready = ready;
+      };
     Engine.at t.eng ready (fun () -> ctl_pump t sched)
   end
 
-let send ?(bytes = 0) t ~src ~dst msg =
-  if not (Hashtbl.mem t.up src.node) then node_up t src.node;
+(* Up/down state and handlers are read from the live records when the
+   message arrives, not when it is sent. *)
+let send_link ~bytes t l ~src ~dst msg =
+  let s = l.lsrc in
+  if s.status = Unseen then s.status <- Up;
   match Engine.sched t.eng with
-  | Some sched -> ctl_send ~bytes t sched ~src ~dst msg
+  | Some sched -> ctl_send ~bytes t sched l ~src ~dst msg
   | None ->
-  let link = (src.node, dst.node) in
-  let rng = link_rng t link in
-  if not (is_up t src.node) || Rng.chance rng t.loss then
-    note_drop t ~src ~dst
-      ~reason:(if is_up t src.node then "loss" else "src_down")
+  if not (up s) || Rng.chance l.lrng t.loss then
+    note_drop t ~src ~dst ~reason:(if up s then "loss" else "src_down")
   else begin
     let arrival =
       let earliest =
-        Engine.now t.eng + sample_delay t rng + (bytes * t.byte_cost)
+        Engine.now t.eng + sample_delay t l.lrng + (bytes * t.byte_cost)
       in
-      match Hashtbl.find_opt t.last_delivery link with
-      | Some prev when prev > earliest -> prev
-      | _ -> earliest
+      if l.last_delivery > earliest then l.last_delivery else earliest
     in
-    Hashtbl.replace t.last_delivery link arrival;
+    l.last_delivery <- arrival;
     Engine.at t.eng arrival (fun () ->
-        if is_up t src.node && is_up t dst.node
-           && not (partitioned t src.node dst.node)
-        then
-          match Hashtbl.find_opt t.handlers (dst.node, dst.port) with
+        let d = l.ldst in
+        if up s && up d && not (partitioned t src.node dst.node) then
+          match handler_of dst.port d.ports with
           | Some handler ->
             t.delivered <- t.delivered + 1;
             handler ~src msg
           | None -> note_drop t ~src ~dst ~reason:"unbound"
         else note_drop t ~src ~dst ~reason:"partitioned")
   end
+
+let send ?(bytes = 0) t ~src ~dst msg =
+  send_link ~bytes t (link t (intern t src.node) (intern t dst.node)) ~src ~dst msg
+
+let send_route ?(bytes = 0) r msg =
+  send_link ~bytes r.rfab r.rlink ~src:r.rsrc ~dst:r.rdst msg
 
 let delivered t = t.delivered
 let dropped t = t.dropped

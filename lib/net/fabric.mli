@@ -7,7 +7,14 @@
     Delivery per (src, dst) pair is FIFO (later sends never overtake
     earlier ones on the same link, as on a TCP-backed LAN), while jitter
     still makes {e cross-link} arrival order nondeterministic — the paper's
-    source S1/S3 of replica divergence. *)
+    source S1/S3 of replica divergence.
+
+    State: one record per node name (up/down state and bound handlers),
+    created when the name is first used, and one per directed link
+    (its jitter/loss stream and FIFO clock).  Both live as long as the
+    fabric: a node name is never forgotten, so a workload that invents
+    a fresh client name per connection adds one node and two links per
+    connection. *)
 
 type node = string
 
@@ -34,14 +41,16 @@ val set_byte_cost : t -> Crane_sim.Time.t -> unit
     [?bytes] to {!send}.  Default 8 ns/byte (1 Gbps). *)
 
 val node_up : t -> node -> unit
-(** Bring a node (back) online.  Nodes referenced by {!bind} or {!send}
-    are brought up implicitly. *)
+(** Bring a node (back) online.  {!bind} brings its node up; {!send}
+    brings up a source never seen before, but not one taken down with
+    {!node_down}. *)
 
 val node_down : t -> node -> unit
 (** Take a node offline: its in-flight and future messages are dropped,
     in both directions. *)
 
 val is_up : t -> node -> bool
+(** [false] for a node never seen. *)
 
 val partition : t -> node list -> node list -> unit
 (** Block traffic between the two sides (both directions).  Cumulative
@@ -70,6 +79,15 @@ val send : ?bytes:int -> t -> src:endpoint -> dst:endpoint -> message -> unit
     [bytes * byte_cost] to the link delay (used for snapshot streaming;
     ordinary protocol messages leave it 0 so fixed-seed timings are
     unchanged). *)
+
+type route
+(** A resolved [src -> dst] path, for a sender that uses one path many
+    times (a socket connection): sending on it looks no name up. *)
+
+val route : t -> src:endpoint -> dst:endpoint -> route
+
+val send_route : ?bytes:int -> route -> message -> unit
+(** [send_route (route t ~src ~dst) msg] is [send t ~src ~dst msg]. *)
 
 val reject : t -> src:endpoint -> dst:endpoint -> reason:string -> unit
 (** Record an application-level rejection of an already-delivered message

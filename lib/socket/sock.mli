@@ -59,13 +59,25 @@ val local_node : conn -> Crane_net.Fabric.node
 val peer_node : conn -> Crane_net.Fabric.node
 val is_open : conn -> bool
 
+val live_connections : world -> int
+(** Connection ids still tracked.  An id is dropped once both ends are
+    closed and no message can reach either end with any effect: an end
+    that has seen EOF closes after its peer closed, or a Fin reaches a
+    closed end whose peer has seen EOF.  A node's reboot
+    ({!node_booted}) drops that node's ends.  Ids of connections that
+    are never closed stay. *)
+
 val node_crashed : world -> Crane_net.Fabric.node -> unit
 (** Model a machine crash: peers of every connection touching the node
     observe EOF; its listeners evaporate; in-flight connects are refused.
-    Wire this to [Engine.on_kill] of the replica's group. *)
+    Listeners close in ascending port order, then the peers see EOF in
+    ascending connection-id order (the order their readers wake in).
+    Only live connections are walked.  Wire this to [Engine.on_kill] of
+    the replica's group. *)
 
 val node_booted : world -> Crane_net.Fabric.node -> unit
 (** A node (re)joined the world — a reboot, or a live reconfiguration
     booting a fresh replacement: bind its transport and discard any
     connection state a previous incarnation of the same name left
-    behind. *)
+    behind: its ends see EOF, in ascending connection-id order, and are
+    dropped. *)

@@ -5,6 +5,7 @@ module Rng = Crane_sim.Rng
 module Engine = Crane_sim.Engine
 module Fabric = Crane_net.Fabric
 module Sock = Crane_socket.Sock
+module Trace = Crane_trace.Trace
 
 type Fabric.message += Ping of int
 
@@ -96,6 +97,51 @@ let test_fabric_loss () =
   Engine.run eng;
   Alcotest.(check int) "full loss" 0 !got;
   Alcotest.(check int) "drops counted" 10 (Fabric.dropped fabric)
+
+(* A link's jitter stream depends only on the seed and the two names, so
+   these instants are pinned: a change to how links are stored or found
+   must not move them. *)
+let test_fabric_first_deliveries_pinned () =
+  let eng, fabric = setup () in
+  let arrivals = ref [] in
+  List.iter
+    (fun (s, d) ->
+      Fabric.bind fabric (ep d 7) (fun ~src:_ _ ->
+          arrivals := (s ^ ">" ^ d, Engine.now eng) :: !arrivals);
+      Fabric.send fabric ~src:(ep s 1) ~dst:(ep d 7) (Ping 0))
+    [ ("a", "b"); ("b", "a"); ("a", "c") ];
+  Engine.run eng;
+  Alcotest.(check (list (pair string int)))
+    "first delivery instants"
+    [ ("a>b", 53913); ("a>c", 75003); ("b>a", 77331) ]
+    (List.rev !arrivals)
+
+let drop_reasons tr =
+  List.filter_map
+    (fun (e : Trace.ev) ->
+      if e.name = "drop" then Trace.find_str e "reason" else None)
+    (Trace.events tr)
+
+let test_fabric_drop_reasons () =
+  let eng, fabric = setup () in
+  let tr = Trace.create () in
+  Engine.set_trace eng tr;
+  (* To a node never seen: it reads as down at delivery. *)
+  Fabric.send fabric ~src:(ep "a" 1) ~dst:(ep "ghost" 7) (Ping 0);
+  Engine.run eng;
+  Alcotest.(check bool) "never-seen node is down" false (Fabric.is_up fabric "ghost");
+  (* A node taken down is not brought back by its own send. *)
+  Fabric.bind fabric (ep "b" 7) (fun ~src:_ _ -> ());
+  Fabric.node_down fabric "a";
+  Fabric.send fabric ~src:(ep "a" 1) ~dst:(ep "b" 7) (Ping 1);
+  Engine.run eng;
+  Alcotest.(check bool) "downed source stays down" false (Fabric.is_up fabric "a");
+  (* A source never seen before is brought up by its first send. *)
+  Fabric.send fabric ~src:(ep "fresh" 1) ~dst:(ep "b" 7) (Ping 2);
+  Engine.run eng;
+  Alcotest.(check bool) "fresh source comes up" true (Fabric.is_up fabric "fresh");
+  Alcotest.(check (list string)) "reasons" [ "partitioned"; "src_down" ] (drop_reasons tr);
+  Alcotest.(check int) "one delivered" 1 (Fabric.delivered fabric)
 
 let prop_fabric_fifo_per_link =
   QCheck.Test.make ~name:"fabric preserves per-link order under jitter"
@@ -296,6 +342,129 @@ let test_sock_wait_acceptable () =
   Alcotest.(check bool) "poll times out when idle" false !first;
   Alcotest.(check bool) "poll sees pending connection" true !second
 
+(* Alternately the client and the server close first: either way, both
+   ends closed leaves no trace of the connection in the world. *)
+let test_sock_cycles_leave_nothing () =
+  let eng, fabric = setup () in
+  let w = Sock.world fabric in
+  let served = ref 0 in
+  Engine.spawn eng ~name:"server" (fun () ->
+      let l = Sock.listen w ~node:"srv" ~port:80 in
+      for i = 1 to 1000 do
+        let c = Sock.accept l in
+        let req = Sock.recv c ~max:100 in
+        if i mod 2 = 0 then begin
+          Sock.send c req;
+          Sock.close c
+        end
+        else begin
+          (* Wait for the client's EOF, then close. *)
+          while Sock.recv c ~max:100 <> "" do () done;
+          Sock.close c
+        end;
+        incr served
+      done);
+  Engine.spawn eng ~name:"clients" (fun () ->
+      for i = 1 to 1000 do
+        let c = Sock.connect w ~from:(Printf.sprintf "c%d" i) ~node:"srv" ~port:80 in
+        Sock.send c "hi";
+        if i mod 2 = 0 then
+          while Sock.recv c ~max:100 <> "" do () done;
+        Sock.close c
+      done);
+  Engine.run eng;
+  check_no_failures eng;
+  Alcotest.(check int) "all served" 1000 !served;
+  Alcotest.(check int) "nothing left behind" 0 (Sock.live_connections w)
+
+(* The server closes first; the client's node then crashes and comes back
+   at once, so the client's Data and Fin, sent before the crash, reach
+   the server after its end has left the table. *)
+let test_sock_late_messages_are_noops () =
+  let eng, fabric = setup () in
+  let w = Sock.world fabric in
+  let tr = Trace.create () in
+  Engine.set_trace eng tr;
+  let server_end = ref None and client_end = ref None in
+  Engine.spawn eng ~name:"server" (fun () ->
+      let l = Sock.listen w ~node:"srv" ~port:80 in
+      server_end := Some (Sock.accept l));
+  Engine.spawn eng ~name:"client" (fun () ->
+      client_end := Some (Sock.connect w ~from:"cli" ~node:"srv" ~port:80));
+  Engine.run eng;
+  let s = Option.get !server_end and c = Option.get !client_end in
+  let t0 = Engine.now eng in
+  Sock.send c "late";
+  Sock.close c;
+  Engine.at eng (t0 + 1) (fun () ->
+      Fabric.node_down fabric "cli";
+      Sock.node_crashed w "cli");
+  Engine.at eng (t0 + 2) (fun () ->
+      Sock.close s;
+      Alcotest.(check int) "removed before the late messages" 0
+        (Sock.live_connections w);
+      Sock.node_booted w "cli";
+      Fabric.node_up fabric "cli");
+  let delivered0 = Fabric.delivered fabric in
+  Engine.run eng;
+  check_no_failures eng;
+  Alcotest.(check int) "Data and Fin still arrived" 2 (Fabric.delivered fabric - delivered0);
+  Alcotest.(check int) "no state recreated" 0 (Sock.live_connections w);
+  let late =
+    List.filter
+      (fun (e : Trace.ev) -> e.ts > t0 + 2 && (e.name = "rx_data" || e.name = "rx_fin"))
+      (Trace.events tr)
+  in
+  Alcotest.(check int) "nothing received" 0 (List.length late)
+
+(* A crash wakes the readers of the live peers of the node, and only
+   those, in ascending connection-id order. *)
+let test_sock_crash_order () =
+  let eng, fabric = setup () in
+  let w = Sock.world fabric in
+  let woke = ref [] in
+  let n = 12 in
+  Engine.spawn eng ~name:"server" (fun () ->
+      let l = Sock.listen w ~node:"srv" ~port:80 in
+      try
+        while true do
+          ignore (Sock.accept l : Sock.conn)
+        done
+      with Sock.Connection_closed -> ());
+  Engine.spawn eng ~name:"bystander" (fun () ->
+      let l = Sock.listen w ~node:"x" ~port:80 in
+      ignore (Sock.accept l : Sock.conn));
+  (* Clients connect in reverse name order, so connection ids ascend
+     while names descend. *)
+  for i = n downto 1 do
+    Engine.spawn eng ~name:(Printf.sprintf "cli%d" i) (fun () ->
+        Engine.sleep eng (Time.ms (n - i + 1));
+        let c = Sock.connect w ~from:(Printf.sprintf "c%02d" i) ~node:"srv" ~port:80 in
+        if i mod 3 = 0 then Sock.close c
+        else if Sock.recv c ~max:10 = "" then woke := Sock.id c :: !woke)
+  done;
+  (* The server dials out too: the other end sits on "db". *)
+  Engine.spawn eng ~name:"db" (fun () ->
+      let l = Sock.listen w ~node:"db" ~port:5 in
+      let c = Sock.accept l in
+      if Sock.recv c ~max:10 = "" then woke := Sock.id c :: !woke);
+  Engine.spawn eng ~name:"dialer" (fun () ->
+      Engine.sleep eng (Time.ms 20);
+      ignore (Sock.connect w ~from:"srv" ~node:"db" ~port:5 : Sock.conn));
+  let untouched = ref true in
+  Engine.spawn eng ~name:"other" (fun () ->
+      let c = Sock.connect w ~from:"y" ~node:"x" ~port:80 in
+      untouched := Sock.recv ~timeout:(Time.ms 100) c ~max:10 = "" && Sock.is_open c);
+  Engine.at eng (Time.ms 50) (fun () ->
+      Fabric.node_down fabric "srv";
+      Sock.node_crashed w "srv");
+  Engine.run eng;
+  check_no_failures eng;
+  let woke = List.rev !woke in
+  Alcotest.(check int) "every open peer woke" (n - (n / 3) + 1) (List.length woke);
+  Alcotest.(check (list int)) "in ascending id order" (List.sort compare woke) woke;
+  Alcotest.(check bool) "bystander connection untouched" true !untouched
+
 (* Bytestream *)
 
 let prop_bytestream_roundtrip =
@@ -315,6 +484,27 @@ let prop_bytestream_roundtrip =
       drain ();
       Buffer.contents buf = String.concat "" chunks)
 
+(* Any sequence of reads returns, in order, the bytes of the
+   concatenated pushes, whatever the chunk and read sizes. *)
+let prop_bytestream_take_matches_concat =
+  QCheck.Test.make ~name:"bytestream take = substring of the concatenation" ~count:300
+    QCheck.(pair (small_list small_printable_string) (small_list (int_range 0 12)))
+    (fun (chunks, maxes) ->
+      let b = Crane_socket.Bytestream.create () in
+      List.iter (Crane_socket.Bytestream.push b) chunks;
+      let all = String.concat "" chunks in
+      let pos = ref 0 and ok = ref true in
+      let take max =
+        let s = Crane_socket.Bytestream.take b ~max in
+        let n = Int.max 0 (Int.min max (String.length all - !pos)) in
+        if s <> String.sub all !pos n then ok := false;
+        pos := !pos + n
+      in
+      List.iter take maxes;
+      while !pos < String.length all do take 5 done;
+      !ok && Crane_socket.Bytestream.is_empty b
+      && Crane_socket.Bytestream.length b = 0)
+
 let qcheck = QCheck_alcotest.to_alcotest
 
 let suite =
@@ -328,6 +518,8 @@ let suite =
         Alcotest.test_case "node down" `Quick test_fabric_node_down;
         Alcotest.test_case "loss" `Quick test_fabric_loss;
         qcheck prop_fabric_fifo_per_link;
+        Alcotest.test_case "first deliveries pinned" `Quick test_fabric_first_deliveries_pinned;
+        Alcotest.test_case "drop reasons" `Quick test_fabric_drop_reasons;
       ] );
     ( "socket",
       [
@@ -341,5 +533,9 @@ let suite =
         Alcotest.test_case "port conflict" `Quick test_sock_listener_port_conflict;
         Alcotest.test_case "wait_acceptable" `Quick test_sock_wait_acceptable;
         qcheck prop_bytestream_roundtrip;
+        qcheck prop_bytestream_take_matches_concat;
+        Alcotest.test_case "cycles leave nothing" `Quick test_sock_cycles_leave_nothing;
+        Alcotest.test_case "late messages are no-ops" `Quick test_sock_late_messages_are_noops;
+        Alcotest.test_case "crash order" `Quick test_sock_crash_order;
       ] );
   ]

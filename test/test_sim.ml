@@ -45,26 +45,37 @@ let test_pheap_order () =
 (* Interleaved pushes and pops against a sorted-list model: every pop
    returns the model's minimum by (time, seq), [min_time] always agrees
    with it ([max_int] when empty), and the final drain is sorted. *)
+(* The model is a set of (time, seq) keys: the value pushed with a key
+   is always [(time, seq, ())], so the set determines every expected pop. *)
+module Keys = Set.Make (struct
+  type t = int * int
+
+  let compare = compare
+end)
+
 let prop_pheap_sorted =
   QCheck.Test.make ~name:"pheap pops sorted by (time, seq)" ~count:200
     QCheck.(list (option small_nat))
     (fun ops ->
       let h = Pheap.create () in
-      let model = ref [] and ok = ref true in
+      let model = ref Keys.empty and ok = ref true in
       List.iteri
         (fun seq op ->
-          (match (op, !model) with
+          (match (op, Keys.min_elt_opt !model) with
            | Some time, _ ->
              Pheap.push h ~time ~seq (time, seq, ());
-             model := List.sort compare ((time, seq, ()) :: !model)
-           | None, [] -> ()
-           | None, m :: rest ->
-             if Pheap.pop_value h <> m then ok := false;
-             model := rest);
-          let expect = match !model with [] -> max_int | (t, _, _) :: _ -> t in
+             model := Keys.add (time, seq) !model
+           | None, None -> ()
+           | None, Some ((time, s) as m) ->
+             if Pheap.pop_value h <> (time, s, ()) then ok := false;
+             model := Keys.remove m !model);
+          let expect =
+            match Keys.min_elt_opt !model with None -> max_int | Some (t, _) -> t
+          in
           if Pheap.min_time h <> expect then ok := false)
         ops;
-      !ok && pheap_drain h = !model)
+      !ok
+      && pheap_drain h = List.map (fun (t, s) -> (t, s, ())) (Keys.elements !model))
 
 (* Past two growths of the initial 16 entries, with pops interleaved so
    that freed value slots are reused: every pop still returns the
@@ -107,6 +118,22 @@ let test_rng_split_independent () =
   let b = Rng.split a in
   let xa = Rng.next a and xb = Rng.next b in
   Alcotest.(check bool) "streams differ" true (xa <> xb)
+
+(* Every output of a seed is pinned: a change to how the state is stored
+   must not move any draw. *)
+let test_rng_outputs_pinned () =
+  let check seed ~next ~split_next ~int ~float =
+    let r = Rng.create seed in
+    Alcotest.(check int64) "next" next (Rng.next r);
+    let child = Rng.split r in
+    Alcotest.(check int64) "split, then next" split_next (Rng.next child);
+    Alcotest.(check int) "int" int (Rng.int r 1000);
+    Alcotest.(check (float 0.0)) "float" float (Rng.float r 1.0)
+  in
+  check 1 ~next:(-4616330145664149646L) ~split_next:(-9080572566289094619L)
+    ~int:763 ~float:0x1.e881fc76c58f3p-1;
+  check 42 ~next:(-7450291807549245335L) ~split_next:7382028192048325405L
+    ~int:570 ~float:0x1.896d649de031p-5
 
 let prop_rng_int_bounds =
   QCheck.Test.make ~name:"rng int stays in bounds" ~count:500
@@ -655,6 +682,7 @@ let suite =
       [
         Alcotest.test_case "deterministic" `Quick test_rng_deterministic;
         Alcotest.test_case "split independent" `Quick test_rng_split_independent;
+        Alcotest.test_case "outputs pinned" `Quick test_rng_outputs_pinned;
         qcheck prop_rng_int_bounds;
         qcheck prop_rng_shuffle_permutes;
       ] );
